@@ -9,7 +9,7 @@ replications per grid cell.  Paying the simulators' per-call setup (object
 construction, string-keyed lookups, validation) thousands of times makes
 that sweep orders of magnitude slower than the arithmetic it performs.
 
-This module is the batched engine, in four layers:
+This module is the batched engine, in three layers:
 
 1. **Per-replication speedup** — :class:`SimulationContext` hoists every
    schedule invariant out of the replication loop: integer-indexed
@@ -18,55 +18,43 @@ This module is the batched engine, in four layers:
    the feasibility sets the migrate policy scans.  One replication then
    runs on flat lists of floats and ints.  The replay is *bit-identical*
    to the one-shot simulators (see the determinism contract below).
-2. **Work-stealing process parallelism** — :func:`run_sweep` feeds a
-   shared round queue to a ``ProcessPoolExecutor`` (the pure-Python
-   replay loop is GIL-bound, so threads cannot scale it).  Workers
-   receive the schedules once (pool initializer), build contexts lazily,
-   and return raw per-replication metric tuples; the parent dispatches
-   the next pending round to whichever worker frees up, so a cell that
-   finishes (or stops) early releases its worker to the slow cells
-   instead of idling behind a static chunk assignment.
-3. **Adaptive replication (sequential stopping)** — with
-   ``SweepSpec.target_ci`` set, each cell runs replication *rounds*
-   (``chunk_size`` replications each) only until the 95% confidence
-   half-width of its primary metric's mean falls to ``target_ci``
-   relative to that mean, capped at ``max_replications``.  Low-variance
-   cells stop after one round; only genuinely noisy cells spend the full
-   budget — a large reduction in simulations at equal statistical
-   precision (gated in ``benchmarks/test_bench_montecarlo.py``).
-4. **Streaming, mergeable aggregation** — the parent folds replications
+2. **Adaptive rounds on a process pool** — :func:`run_sweep` runs the
+   grid as the Monte-Carlo task kind of the shared round engine,
+   :mod:`repro.stats.adaptive`, which owns the content-addressed
+   streams, the work-stealing round queue, the cache, telemetry and the
+   ledger.  A round is ``chunk_size`` replications of one cell, replayed
+   by a ``ProcessPoolExecutor`` worker (the pure-Python replay loop is
+   GIL-bound, so threads cannot scale it) that received the schedules
+   once and builds contexts lazily.  With ``SweepSpec.target_ci`` set, a
+   cell stops once the 95% confidence half-width of its primary
+   metric's mean falls to ``target_ci`` relative to that mean, capped at
+   ``max_replications``: low-variance cells stop after one round and
+   only noisy cells spend the full budget (gated in
+   ``benchmarks/test_bench_montecarlo.py``).
+3. **Streaming, mergeable aggregation** — the parent folds replications
    into :class:`RunningStat` (Welford mean/variance, min/max) and
    :class:`~repro.stats.sketch.QuantileSketch` (log-bucket quantile
    sketch with an *exact, associative* merge) accumulators per grid
    cell (:class:`CellAggregate`), so memory stays O(buckets) — constant
    in the replication count — and partial aggregates from independent
    processes or hosts combine deterministically.
-5. **Integration** — grid cells are content-addressed: an
-   :class:`~repro.pipeline.cache.ArtifactCache` hit skips every
-   simulation of an already-computed cell; telemetry spans/counters and
-   optional :class:`~repro.obs.RunRegistry` recording ride along; the
-   ``repro sweep`` CLI command and the serve layer's ``POST /sweeps``
-   drive the whole thing through one spec builder.
+
+The ``repro sweep`` CLI command and the serve layer's ``POST /sweeps``
+drive the whole thing through one spec builder, :func:`build_sweep_spec`.
 
 Determinism contract
 --------------------
-Replication ``j`` of a grid cell draws from a dedicated
-``np.random.SeedSequence`` child derived from ``(spec.seed, cell
-identity)`` — NOT from a shared stream — so results are bit-identical
-regardless of worker count, chunk size, serial fallback, or which other
-cells share the grid, and the first ``R`` replications of a larger run
-reproduce a smaller run exactly.  The parent merges round results in
-replication order per cell — out-of-order completions are buffered until
-their predecessors fold — which pins the floating-point fold order no
-matter which worker ran which round, in what order rounds completed, or
-how the round queue was drained (see ``steal_seed``).  Sequential
-stopping preserves the guarantee because stop decisions are evaluated
-only at fully-folded round boundaries, on statistics that are themselves
-bit-identical across execution placements; the round size
-(``chunk_size``) is therefore part of an adaptive cell's identity, while
-for fixed-replication sweeps chunking still can never change results.
-Against the
-one-shot simulators, one replication with generator ``g`` reproduces
+Replication ``j`` of a grid cell draws from stream index ``j`` of an
+entropy derived from the cell's content (``spec.seed`` and the cell
+identity) — not from a shared stream or the cell's grid position.  The
+engine folds each cell's rounds in replication order and checks stop
+rules only at round boundaries, so results are bit-identical across
+worker counts, steal orders (``steal_seed``) and the serial path, and
+the first ``R`` replications of a larger run reproduce a smaller run
+exactly.  The round size (``chunk_size``) is therefore part of an
+adaptive cell's identity, while for fixed-replication sweeps chunking
+can never change results.  Against the one-shot simulators, one
+replication with generator ``g`` reproduces
 ``simulate_with_failures(schedule, ..., rng=g)`` bit-for-bit when
 ``jitter == 0``, and ``simulate_schedule(schedule, jitter=j, rng=g)``
 when ``mtbf is None`` (batch draws of NumPy ``Generator`` consume the
@@ -76,8 +64,6 @@ stream exactly like the equivalent scalar sequence).
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -93,8 +79,14 @@ from repro.continuum.scheduling import (
 )
 from repro.continuum.workflow import Workflow
 from repro.errors import ContinuumError, MonteCarloError
+from repro.stats.adaptive import (
+    Runner,
+    SweepNames,
+    ci_half_width,
+    run_rounds,
+    stream_rng,
+)
 from repro.stats.sketch import QuantileSketch
-from repro.telemetry import ensure
 
 __all__ = [
     "ENGINE_VERSION",
@@ -105,7 +97,6 @@ __all__ = [
     "SimulationContext",
     "replicate_once",
     "RunningStat",
-    "FixedHistogram",
     "QuantileSketch",
     "CellAggregate",
     "MetricSummary",
@@ -127,10 +118,6 @@ ENGINE_VERSION = "2"
 
 #: Relative-accuracy guarantee of every cell's quantile sketches.
 SKETCH_ALPHA = 0.01
-
-#: Normal-approximation z for the 95% confidence half-width the
-#: sequential-stopping rule targets.
-_CI_Z = 1.959963984540054
 
 #: Scheduler registry the sweep grid selects from by name.
 SCHEDULERS: dict[str, Any] = {
@@ -493,89 +480,6 @@ class RunningStat:
         return stat
 
 
-class FixedHistogram:
-    """Fixed-bucket histogram with interpolated quantiles, O(buckets) memory.
-
-    Values are clamped into ``[lo, hi]`` — quantile resolution is bounded
-    by the bucket width (tails saturate at the edges), while the exact
-    moments live in the paired :class:`RunningStat`.  Buckets are linear
-    or geometric; counts are integers, so the histogram is trivially
-    order-independent.
-
-    Clamp semantics: an out-of-range value is *counted* in the nearest
-    edge bucket (``clamped_low``/``clamped_high`` track how many), and a
-    quantile target whose rank falls within that clamped mass answers
-    with the exact edge value, never an interpolated point inside the
-    edge bucket.  Without this, a histogram whose mass saturates the
-    overflow bucket would spread identical out-of-range values across
-    the bucket's span (p50 ≠ p99 for a constant stream), making
-    sketch-vs-histogram comparisons unstable.
-    """
-
-    __slots__ = ("edges", "counts", "_log", "clamped_low", "clamped_high")
-
-    def __init__(
-        self, lo: float, hi: float, n_buckets: int, *, log: bool = False
-    ) -> None:
-        if not hi > lo:
-            raise MonteCarloError("histogram needs hi > lo")
-        if n_buckets < 1:
-            raise MonteCarloError("histogram needs >= 1 bucket")
-        if log and lo <= 0:
-            raise MonteCarloError("log-spaced histogram needs lo > 0")
-        self._log = log
-        if log:
-            self.edges = np.geomspace(lo, hi, n_buckets + 1)
-        else:
-            self.edges = np.linspace(lo, hi, n_buckets + 1)
-        self.counts = np.zeros(n_buckets, dtype=np.int64)
-        self.clamped_low = 0
-        self.clamped_high = 0
-
-    def add(self, value: float) -> None:
-        index = int(np.searchsorted(self.edges, value, side="right")) - 1
-        if index < 0:
-            index = 0
-            self.clamped_low += 1
-        elif index >= self.counts.size:
-            index = self.counts.size - 1
-            if value > self.edges[-1]:
-                self.clamped_high += 1
-        self.counts[index] += 1
-
-    @property
-    def count(self) -> int:
-        return int(self.counts.sum())
-
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile estimate from the bucket counts.
-
-        Targets that land within clamped out-of-range mass return the
-        exact range edge (see the class docstring).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MonteCarloError(f"quantile must be in [0, 1], got {q}")
-        total = self.count
-        if total == 0:
-            raise MonteCarloError("quantile of an empty histogram")
-        target = q * total
-        # Ranks inside the clamped tails are known exactly: every such
-        # observation sits at (or beyond) the range edge.
-        if self.clamped_low and target <= self.clamped_low:
-            return float(self.edges[0])
-        if self.clamped_high and target >= total - self.clamped_high:
-            return float(self.edges[-1])
-        cumulative = np.cumsum(self.counts)
-        index = int(np.searchsorted(cumulative, target, side="left"))
-        if index >= self.counts.size:
-            index = self.counts.size - 1
-        below = float(cumulative[index - 1]) if index > 0 else 0.0
-        inside = float(self.counts[index])
-        fraction = (target - below) / inside if inside else 0.0
-        lo, hi = float(self.edges[index]), float(self.edges[index + 1])
-        return lo + (hi - lo) * min(max(fraction, 0.0), 1.0)
-
-
 @dataclass(frozen=True, slots=True)
 class MetricSummary:
     """One metric's distribution over a grid cell's replications."""
@@ -620,12 +524,11 @@ class CellAggregate:
 
     One :class:`RunningStat` (exact moments) and one
     :class:`~repro.stats.sketch.QuantileSketch` (quantiles within
-    :data:`SKETCH_ALPHA` relative error) per metric.  Unlike the
-    fixed-bucket histograms this replaces, the sketches need no a-priori
-    value range and their :meth:`merge` is *exact*: combining partial
-    aggregates from independent processes or hosts yields the same
-    sketch state as one aggregate fed every replication — the foundation
-    for distributing sweeps beyond one parent process.
+    :data:`SKETCH_ALPHA` relative error) per metric.  The sketches need
+    no a-priori value range and their :meth:`merge` is *exact*: combining
+    partial aggregates from independent processes or hosts yields the
+    same sketch state as one aggregate fed every replication — the
+    foundation for distributing sweeps beyond one parent process.
 
     ``to_dict``/``from_dict`` round-trip the full state through JSON so
     a partial aggregate is shippable between hosts.
@@ -737,10 +640,14 @@ class CellStats:
     planned_makespan: float
     metrics: dict[str, MetricSummary]
 
+    @property
+    def cell_id(self) -> str:
+        return self.cell.cell_id
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "cell": self.cell.to_dict(),
-            "cell_id": self.cell.cell_id,
+            "cell_id": self.cell_id,
             "replications": self.replications,
             "planned_makespan": self.planned_makespan,
             "metrics": {
@@ -1056,23 +963,6 @@ def _cell_identity(spec: SweepSpec, cell: CellSpec,
     }
 
 
-def _cell_entropy(identity: Mapping[str, Any]) -> int:
-    """The SeedSequence entropy word a cell's replications derive from.
-
-    Content-addressed: a cell's streams depend only on its own identity,
-    never on its position in the grid, so identical cells in different
-    sweeps produce identical replications (and cache hits are sound).
-    """
-    from repro.pipeline.cache import stable_digest
-
-    return int(stable_digest(identity)[:32], 16)
-
-
-def _replication_rng(entropy: int, rep_index: int) -> np.random.Generator:
-    """The dedicated generator for replication *rep_index* of a cell."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(rep_index,))
-    )
 
 
 # -- worker protocol --------------------------------------------------------------
@@ -1092,7 +982,7 @@ class _CellTask:
 
 
 # Worker-global state, set once per process by the pool initializer; the
-# serial fallback uses the same two functions in-process.
+# serial path uses the same two functions in-process.
 _WORKER_SCHEDULES: list[Schedule] = []
 _WORKER_TASKS: list[_CellTask] = []
 _WORKER_CONTEXTS: dict[int, SimulationContext] = {}
@@ -1135,13 +1025,141 @@ def _worker_chunk(
     return [
         _replicate(
             context, task.mtbf, task.repair_time, migrate, task.jitter,
-            task.max_attempts, _replication_rng(task.entropy, rep),
+            task.max_attempts, stream_rng(task.entropy, rep),
         ).as_tuple()
         for rep in range(start, start + count)
     ]
 
 
 # -- the sweep driver --------------------------------------------------------------
+
+
+class _CellKind:
+    """Grid cells as a :class:`~repro.stats.adaptive.RoundKind`.
+
+    A cell's stream is indexed by replication; a round is ``chunk_size``
+    replications run by :func:`_worker_chunk` and folded into a
+    :class:`CellAggregate`.
+    """
+
+    names = SweepNames(
+        span="sweep", prefix="mc", items="cells", units="replications",
+        record="mc-sweep",
+    )
+    result_type = SweepResult
+
+    def __init__(self, spec: SweepSpec, workers: int) -> None:
+        self.spec = spec
+        self.cells = spec.cells()
+        self.adaptive = spec.adaptive
+        self.cap = spec.replication_cap
+        self.round_size = spec.chunk_size
+        self.plan = spec.replication_plan()
+        self.meta: dict[str, Any] = {
+            "seed": spec.seed,
+            "replications": spec.replications,
+            "workers": workers,
+        }
+        if spec.adaptive:
+            self.meta["target_ci"] = spec.target_ci
+            self.meta["max_replications"] = spec.replication_cap
+            self.meta["primary_metric"] = spec.primary_metric
+        self._computed: list[CellSpec] = []
+        self._planned: list[float] = []
+
+    def identities(self) -> list[dict[str, Any]]:
+        spec = self.spec
+        fingerprints = {
+            w.name: _workflow_fingerprint(w) for w in spec.workflows
+        }
+        continuum_fp = _continuum_fingerprint(spec.continuum)
+        return [
+            _cell_identity(spec, cell, fingerprints, continuum_fp)
+            for cell in self.cells
+        ]
+
+    def cache_key(self, identity: Mapping[str, Any]) -> str:
+        # The cell's stream identity plus the replication *plan*: a fixed
+        # count, or the adaptive stopping rule (whose round size shapes
+        # where stop checks happen, hence the result).
+        from repro.pipeline.cache import stable_digest
+
+        return stable_digest("montecarlo-cell", identity, self.plan)
+
+    decode = staticmethod(CellStats.from_dict)
+
+    def setup(
+        self, misses: list[int], entropies: list[int], tel
+    ) -> tuple[Runner, list[CellAggregate]]:
+        # Schedule once per (workflow, scheduler) pair actually needed;
+        # compile each workflow × continuum pairing exactly once and
+        # share it across every scheduler placing on it.
+        spec = self.spec
+        workflow_of = {w.name: w for w in spec.workflows}
+        schedules: list[Schedule] = []
+        schedule_index: dict[tuple[str, str], int] = {}
+        problems: dict[str, CompiledProblem] = {}
+        tasks: list[_CellTask] = []
+        for index, entropy in zip(misses, entropies):
+            cell = self.cells[index]
+            pair = (cell.workflow, cell.scheduler)
+            if pair not in schedule_index:
+                problem = problems.get(cell.workflow)
+                if problem is None:
+                    problem = compile_problem(
+                        workflow_of[cell.workflow], spec.continuum
+                    )
+                    problems[cell.workflow] = problem
+                schedule_index[pair] = len(schedules)
+                schedules.append(
+                    SCHEDULERS[cell.scheduler]().schedule(
+                        workflow_of[cell.workflow], spec.continuum,
+                        telemetry=tel if tel.enabled else None,
+                        problem=problem,
+                    )
+                )
+            tasks.append(_CellTask(
+                schedule_index=schedule_index[pair],
+                mtbf=cell.mtbf,
+                jitter=cell.jitter,
+                policy=cell.policy,
+                repair_time=spec.repair_time,
+                max_attempts=spec.max_attempts,
+                entropy=entropy,
+            ))
+            self._computed.append(cell)
+            self._planned.append(schedules[schedule_index[pair]].makespan)
+        runner = Runner(_worker_chunk, _worker_init, (schedules, tasks))
+        return runner, [CellAggregate() for _ in misses]
+
+    def fold(self, aggregate: CellAggregate, rows) -> None:
+        for row in rows:
+            aggregate.add(row)
+
+    def stop(self, aggregate: CellAggregate, folded: int) -> bool:
+        """Stop once the 95% confidence half-width of the primary metric's
+        mean is within ``target_ci`` of the mean's magnitude.
+
+        A zero-variance cell (e.g. no failures, no jitter) stops after
+        its first round; a zero-mean cell stops only when its variance is
+        also zero, since no relative precision is otherwise attainable
+        before the cap.
+        """
+        stat = aggregate.stats[self.spec.primary_metric]
+        if stat.count < 2:
+            return False
+        half_width = ci_half_width(stat.std, stat.count)
+        return half_width <= self.spec.target_ci * abs(stat.mean)
+
+    def finish(
+        self, slot: int, aggregate: CellAggregate, folded: int
+    ) -> CellStats:
+        return CellStats(
+            cell=self._computed[slot],
+            replications=folded,
+            planned_makespan=self._planned[slot],
+            metrics=aggregate.summaries(),
+        )
 
 
 def run_sweep(
@@ -1191,317 +1209,7 @@ def run_sweep(
     """
     if workers < 0:
         raise MonteCarloError("workers must be >= 0")
-    tel = ensure(telemetry)
-    if not tel.enabled:
-        return _run_sweep(spec, workers, cache, tel, registry, steal_seed)
-    cells = spec.cells()
-    with tel.tracer.span(
-        "sweep",
-        cells=len(cells),
-        replications=spec.replication_cap,
-        workers=workers,
-        adaptive=spec.adaptive,
-    ) as span:
-        result = _run_sweep(spec, workers, cache, tel, registry, steal_seed)
-        span.tags.update(
-            computed=len(result.computed),
-            cached=len(result.cached),
-        )
-        tel.log.info(
-            "sweep.finish",
-            cells=len(result.cells),
-            computed=len(result.computed),
-            cached=len(result.cached),
-            replications_run=result.n_replications_run,
-        )
-    return result
-
-
-def _run_sweep(
-    spec: SweepSpec, workers: int, cache, tel, registry, steal_seed
-) -> SweepResult:
-    from repro.pipeline.cache import stable_digest
-
-    cells = spec.cells()
-    workflow_of = {w.name: w for w in spec.workflows}
-    fingerprints = {
-        w.name: _workflow_fingerprint(w) for w in spec.workflows
-    }
-    continuum_fp = _continuum_fingerprint(spec.continuum)
-
-    # Content-addressed cache lookup per cell.  The key pairs the cell's
-    # stream identity with the replication *plan*: a fixed count, or the
-    # adaptive stopping rule (whose round size shapes where stop checks
-    # happen, hence the result).
-    identities = {
-        cell.cell_id: _cell_identity(spec, cell, fingerprints, continuum_fp)
-        for cell in cells
-    }
-    replication_plan = spec.replication_plan()
-    cache_keys = {
-        cell.cell_id: stable_digest(
-            "montecarlo-cell",
-            identities[cell.cell_id],
-            replication_plan,
-        )
-        for cell in cells
-    }
-    stats_of: dict[str, CellStats] = {}
-    cached_ids: list[str] = []
-    misses: list[CellSpec] = []
-    for cell in cells:
-        payload = (
-            cache.get(cache_keys[cell.cell_id]) if cache is not None else None
-        )
-        if payload is not None:
-            stats_of[cell.cell_id] = CellStats.from_dict(payload)
-            cached_ids.append(cell.cell_id)
-        else:
-            misses.append(cell)
-
-    replications_run = 0
-    if misses:
-        # Schedule once per (workflow, scheduler) pair actually needed;
-        # compile each workflow × continuum pairing exactly once and
-        # share it across every scheduler placing on it.
-        schedules: list[Schedule] = []
-        schedule_index: dict[tuple[str, str], int] = {}
-        problems: dict[str, CompiledProblem] = {}
-        for cell in misses:
-            pair = (cell.workflow, cell.scheduler)
-            if pair not in schedule_index:
-                scheduler = SCHEDULERS[cell.scheduler]()
-                problem = problems.get(cell.workflow)
-                if problem is None:
-                    problem = compile_problem(
-                        workflow_of[cell.workflow], spec.continuum
-                    )
-                    problems[cell.workflow] = problem
-                schedule_index[pair] = len(schedules)
-                schedules.append(
-                    scheduler.schedule(
-                        workflow_of[cell.workflow], spec.continuum,
-                        telemetry=tel if tel.enabled else None,
-                        problem=problem,
-                    )
-                )
-
-        tasks = [
-            _CellTask(
-                schedule_index=schedule_index[(cell.workflow, cell.scheduler)],
-                mtbf=cell.mtbf,
-                jitter=cell.jitter,
-                policy=cell.policy,
-                repair_time=spec.repair_time,
-                max_attempts=spec.max_attempts,
-                entropy=_cell_entropy(identities[cell.cell_id]),
-            )
-            for cell in misses
-        ]
-        progresses = [
-            _CellProgress(
-                cell=cell,
-                planned=schedules[
-                    schedule_index[(cell.workflow, cell.scheduler)]
-                ].makespan,
-                cap=spec.replication_cap,
-            )
-            for cell in misses
-        ]
-        rounds_run = _execute_cells(
-            spec, schedules, tasks, progresses, workers, steal_seed
-        )
-
-        for cell, progress in zip(misses, progresses):
-            stats = CellStats(
-                cell=cell,
-                replications=progress.folded,
-                planned_makespan=progress.planned,
-                metrics=progress.aggregate.summaries(),
-            )
-            stats_of[cell.cell_id] = stats
-            replications_run += progress.folded
-            if cache is not None:
-                cache.store(cache_keys[cell.cell_id], stats.to_dict())
-
-    budget = spec.replication_cap * len(misses)
-    result = SweepResult(
-        cells=tuple(stats_of[cell.cell_id] for cell in cells),
-        computed=tuple(cell.cell_id for cell in misses),
-        cached=tuple(cached_ids),
-        n_replications_run=replications_run,
-        n_replications_budget=budget,
+    return run_rounds(
+        _CellKind(spec, workers), workers=workers, cache=cache,
+        telemetry=telemetry, registry=registry, steal_seed=steal_seed,
     )
-    if tel.enabled:
-        metrics = tel.metrics
-        metrics.counter("mc.replications").inc(replications_run)
-        metrics.counter("mc.cells_computed").inc(len(result.computed))
-        metrics.counter("mc.cells_cached").inc(len(result.cached))
-        if misses:
-            metrics.counter("mc.rounds").inc(rounds_run)
-        if spec.adaptive:
-            metrics.counter("mc.replications_saved").inc(
-                result.n_replications_saved
-            )
-    if registry is not None:
-        from repro.obs import build_sweep_record
-
-        meta: dict[str, Any] = {
-            "seed": spec.seed,
-            "replications": spec.replications,
-            "workers": workers,
-        }
-        if spec.adaptive:
-            meta["target_ci"] = spec.target_ci
-            meta["max_replications"] = spec.replication_cap
-            meta["primary_metric"] = spec.primary_metric
-        registry.record(
-            build_sweep_record(
-                result,
-                telemetry=tel if tel.enabled else None,
-                config_digest=stable_digest(
-                    sorted(cache_keys.values())
-                ),
-                meta=meta,
-            )
-        )
-    return result
-
-
-# -- the work-stealing round dispatcher --------------------------------------------
-
-
-class _CellProgress:
-    """Parent-side fold state for one computed grid cell.
-
-    ``folded`` counts the replications merged into the aggregate so far —
-    always a prefix of the cell's replication stream.  Rounds that
-    complete out of order wait in ``buffer`` (keyed by start index) until
-    every predecessor has folded, which pins the floating-point fold
-    order no matter which worker ran which round.
-    """
-
-    __slots__ = ("cell", "planned", "cap", "aggregate", "folded",
-                 "buffer", "done", "rounds")
-
-    def __init__(self, cell: CellSpec, planned: float, cap: int) -> None:
-        self.cell = cell
-        self.planned = planned
-        self.cap = cap
-        self.aggregate = CellAggregate()
-        self.folded = 0
-        self.buffer: dict[int, list[tuple[float, float, int, int, float]]] = {}
-        self.done = False
-        self.rounds = 0
-
-
-def _stop_met(spec: SweepSpec, aggregate: CellAggregate) -> bool:
-    """The sequential-stopping rule, checked at round boundaries only.
-
-    Stop once the normal-approximation 95% confidence half-width of the
-    primary metric's mean is within ``target_ci`` of the mean's
-    magnitude.  A zero-variance cell (e.g. no failures, no jitter) stops
-    after its first round; a zero-mean cell stops only when its variance
-    is also zero, since no relative precision is otherwise attainable
-    before the cap.
-    """
-    stat = aggregate.stats[spec.primary_metric]
-    if stat.count < 2:
-        return False
-    half_width = _CI_Z * stat.std / math.sqrt(stat.count)
-    return half_width <= spec.target_ci * abs(stat.mean)
-
-
-def _execute_cells(
-    spec: SweepSpec,
-    schedules: list[Schedule],
-    tasks: list[_CellTask],
-    progresses: list[_CellProgress],
-    workers: int,
-    steal_seed: int | None,
-) -> int:
-    """Drain every cell's replication rounds through one shared queue.
-
-    Fixed mode enqueues the whole plan upfront, round-major, so the early
-    rounds of every cell reach the pool first.  Adaptive mode keeps
-    exactly one round outstanding per cell: the next round joins the
-    queue only after its predecessor folds and :func:`_stop_met` says
-    continue — which is what makes stopping decisions independent of
-    worker count and queue order.  Workers pull whatever round is next
-    (no static assignment), so a cell that stops early frees its worker
-    for the slow cells.  Returns the number of rounds executed.
-    """
-    chunk = spec.chunk_size
-    pending: deque[tuple[int, int, int]] = deque()
-    if spec.adaptive:
-        for task_index, progress in enumerate(progresses):
-            pending.append((task_index, 0, min(chunk, progress.cap)))
-    else:
-        for start in range(0, spec.replication_cap, chunk):
-            for task_index, progress in enumerate(progresses):
-                if start < progress.cap:
-                    pending.append(
-                        (task_index, start, min(chunk, progress.cap - start))
-                    )
-    steal_rng = (
-        np.random.default_rng(steal_seed) if steal_seed is not None else None
-    )
-    rounds_run = 0
-
-    def receive(
-        task_index: int,
-        start: int,
-        values: list[tuple[float, float, int, int, float]],
-    ) -> None:
-        nonlocal rounds_run
-        progress = progresses[task_index]
-        progress.buffer[start] = values
-        while progress.folded in progress.buffer:
-            rows = progress.buffer.pop(progress.folded)
-            for row in rows:
-                progress.aggregate.add(row)
-            progress.folded += len(rows)
-            progress.rounds += 1
-            rounds_run += 1
-            if progress.folded >= progress.cap:
-                progress.done = True
-            elif spec.adaptive:
-                if _stop_met(spec, progress.aggregate):
-                    progress.done = True
-                else:
-                    pending.append((
-                        task_index,
-                        progress.folded,
-                        min(chunk, progress.cap - progress.folded),
-                    ))
-
-    def take() -> tuple[int, int, int]:
-        if steal_rng is None or len(pending) == 1:
-            return pending.popleft()
-        index = int(steal_rng.integers(len(pending)))
-        item = pending[index]
-        del pending[index]
-        return item
-
-    if workers > 1:
-        in_flight: dict[Any, tuple[int, int, int]] = {}
-        limit = workers * 2
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(schedules, tasks),
-        ) as pool:
-            while pending or in_flight:
-                while pending and len(in_flight) < limit:
-                    item = take()
-                    in_flight[pool.submit(_worker_chunk, item)] = item
-                finished, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    task_index, start, _ = in_flight.pop(future)
-                    receive(task_index, start, future.result())
-    else:
-        _worker_init(schedules, tasks)
-        while pending:
-            item = take()
-            receive(item[0], item[1], _worker_chunk(item))
-    return rounds_run

@@ -32,7 +32,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import CacheError
 
@@ -219,6 +219,34 @@ class ArtifactCache:
             return self.load(key)
         except CacheError:
             return default
+
+    def get_or_compute(
+        self, key: str, fn: Callable[[], Any], *, flight: Any
+    ) -> tuple[Any, bool | None]:
+        """The artifact under *key*, computed at most once per burst.
+
+        Double-checked: a hit returns at once; a miss joins *flight* (a
+        :class:`~repro.serve.coalesce.SingleFlight`) on *key*, and the
+        flight's leader checks the cache again before it runs *fn* and
+        stores the result.  The second check catches a previous leader
+        that stored the artifact and left the flight between this
+        caller's first check and its joining, so concurrent callers
+        store *key* exactly once.  Returns ``(value, leader)``:
+        ``leader`` is ``None`` on a first-check hit, else whether this
+        caller led the flight.
+        """
+        value = self.get(key, _MISSING)
+        if value is not _MISSING:
+            return value, None
+
+        def compute() -> Any:
+            value = self.get(key, _MISSING)
+            if value is _MISSING:
+                value = fn()
+                self.store(key, value)
+            return value
+
+        return flight.do(key, compute)
 
     def store(self, key: str, value: Any) -> None:
         """Persist *value* under *key* in every layer, atomically on disk."""

@@ -9,10 +9,11 @@ Study endpoints are memoized twice over: the pipeline's own
 :class:`~repro.pipeline.cache.ArtifactCache` makes recomputation cheap,
 and the rendered JSON payload for each endpoint is itself cached under a
 content-addressed key, so a warm request is a single dictionary lookup.
-Cold bursts are coalesced by :class:`~repro.serve.coalesce.SingleFlight`
-— N identical concurrent requests run the study exactly once
-(``serve.study.computations`` counts the runs; the load test asserts on
-it).
+Cold bursts are coalesced by :meth:`ArtifactCache.get_or_compute
+<repro.pipeline.cache.ArtifactCache.get_or_compute>` over a
+:class:`~repro.serve.coalesce.SingleFlight` — N identical concurrent
+requests run the study exactly once (``serve.study.computations`` counts
+the runs; the load test asserts on it).
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ STUDY_ENDPOINTS = {
     "fig4": "Figure 4 series: selection votes per direction (demand)",
     "report": "The full plain-text study report",
 }
-
-_MISS = object()
 
 
 @dataclass
@@ -146,36 +145,27 @@ def study_get(
             "error": f"unknown study endpoint {endpoint!r}",
             "available": sorted(STUDY_ENDPOINTS),
         }
-    key = _study_key(ctx, endpoint)
-    payload = ctx.cache.get(key, _MISS)
-    if payload is not _MISS:
-        return 200, payload
 
-    def compute() -> dict[str, Any]:
+    def compute() -> Any:
         from repro.pipeline.study import run_icsc_pipeline
 
-        # Double-check under the single-flight lock-equivalent: a
-        # request that missed the cache just as the previous leader
-        # finished must reuse its payloads, not recompute them.
-        cached = {
-            name: ctx.cache.get(_study_key(ctx, name), _MISS)
-            for name in STUDY_ENDPOINTS
-        }
-        if all(value is not _MISS for value in cached.values()):
-            return cached
         ctx.telemetry.metrics.counter("serve.study.computations").inc()
         results, _ = run_icsc_pipeline(seed=ctx.seed, cache=ctx.cache)
         payloads = study_payloads(results)
+        # One run renders every endpoint: keep the siblings' payloads
+        # too (get_or_compute stores this endpoint's).
         for name, data in payloads.items():
-            ctx.cache.store(_study_key(ctx, name), data)
-        return payloads
+            if name != endpoint:
+                ctx.cache.store(_study_key(ctx, name), data)
+        return payloads[endpoint]
 
-    payloads, leader = ctx.flight.do(
-        stable_digest("serve.study", ctx.seed), compute
+    payload, leader = ctx.cache.get_or_compute(
+        _study_key(ctx, endpoint), compute, flight=ctx.flight
     )
-    role = "leaders" if leader else "waiters"
-    ctx.telemetry.metrics.counter(f"serve.coalesced_{role}").inc()
-    return 200, payloads[endpoint]
+    if leader is not None:
+        role = "leaders" if leader else "waiters"
+        ctx.telemetry.metrics.counter(f"serve.coalesced_{role}").inc()
+    return 200, payload
 
 
 # -- corpus endpoints -------------------------------------------------------------

@@ -7,7 +7,8 @@ never reached a usable level.  The study's sensitivity analyses (seed ×
 parameter ablations over the Table 1/2 shares and the Fig. 2–4
 distributions) ask the same question for *dozens* of estimates at once —
 exactly the shape :mod:`repro.continuum.montecarlo` solves for grid
-cells.  This module is that engine, re-specialized for statistics:
+cells.  This module is the statistics task kind of the shared round
+engine, :mod:`repro.stats.adaptive`:
 
 * **tasks instead of cells** — a :class:`StatTask` names one randomized
   estimate: a bootstrap CI for a category share, or a permutation
@@ -15,22 +16,16 @@ cells.  This module is that engine, re-specialized for statistics:
 * **sequential stopping** — each task runs draw *rounds* until the
   Monte-Carlo standard error of its estimate reaches
   :attr:`StatSpec.target_se` (binomial s.e. for p-values, resample
-  s.e. for bootstrap shares), capped at the draw budget.  Rounds draw
-  from per-round ``SeedSequence`` children of a content-addressed task
-  entropy, so a task's draw stream is identical whether it stops early
-  or runs to the cap;
-* **caching + ledger** — tasks are content-addressed for
-  :class:`~repro.pipeline.cache.ArtifactCache` hits, and a
-  :class:`~repro.obs.RunRegistry` gets a ``stat-sweep`` record through
-  the same :func:`~repro.obs.build_sweep_record` path as mc-sweeps
-  (:class:`StatSweepResult` exposes the same counters).
+  s.e. for bootstrap shares), capped at the draw budget.  Round ``i``
+  draws from stream index ``i`` of a content-addressed task entropy, so
+  a task's draw stream is identical whether it stops early or runs to
+  the cap.
 
-Unlike the continuum engine there is no process pool: every round is one
-vectorized NumPy call (multinomial / hypergeometric / permuted-matrix),
-so the parent process is already saturated by BLAS-free array work and
-fan-out overhead would dominate.  The determinism contract is the same —
-rounds fold in order, so results are independent of how many tasks share
-the sweep.
+The engine supplies the rest — caching, the ``stat.*`` counters and a
+``stat-sweep`` ledger record (:class:`StatSweepResult` exposes the same
+counters as the Monte-Carlo result).  Stat tasks take the engine's
+serial path: every round is one vectorized NumPy call (multinomial /
+hypergeometric / permuted-matrix), so pool overhead would dominate.
 """
 
 from __future__ import annotations
@@ -42,9 +37,9 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.errors import StatsError
+from repro.stats.adaptive import Runner, SweepNames, run_rounds, stream_rng
 from repro.stats.frequency import FrequencyTable
 from repro.stats.inference import total_variation_distance
-from repro.telemetry import ensure
 
 __all__ = [
     "STAT_ENGINE_VERSION",
@@ -65,9 +60,6 @@ STAT_ENGINE_VERSION = "1"
 
 #: Task kinds the engine knows how to draw rounds for.
 STAT_KINDS = ("bootstrap_share", "permutation_tvd", "permutation_mean")
-
-#: z for the 95% interval reported alongside permutation p-values.
-_CI_Z = 1.959963984540054
 
 
 def _counts_tuple(counts: Any, name: str) -> tuple[int, ...]:
@@ -304,18 +296,16 @@ class StatSweepResult:
         }
 
 
-# -- per-kind draw rounds ----------------------------------------------------------
+# -- the stat task kind ------------------------------------------------------------
 
 
 class _TaskState:
-    """Streaming accumulation of one task's draw rounds."""
+    """Streaming fold of one task's draw rounds."""
 
-    __slots__ = ("task", "draws", "rounds", "chunks", "exceed", "observed")
+    __slots__ = ("task", "chunks", "exceed", "observed")
 
     def __init__(self, task: StatTask) -> None:
         self.task = task
-        self.draws = 0
-        self.rounds = 0
         self.chunks: list[np.ndarray] = []   # bootstrap share resamples
         self.exceed = 0                      # permutation exceedances
         self.observed = 0.0
@@ -328,17 +318,22 @@ class _TaskState:
             self.observed = float(b.mean() - a.mean())
 
 
-def _run_round(state: _TaskState, rng: np.random.Generator, size: int) -> None:
-    """Draw *size* Monte-Carlo samples for one task, vectorized."""
-    task = state.task
+def _run_round(
+    task: StatTask, observed: float, rng: np.random.Generator, size: int
+) -> np.ndarray | int:
+    """Draw *size* Monte-Carlo samples for one task, vectorized.
+
+    Returns the round's partial: the resampled shares for a bootstrap
+    task, the exceedance count for a permutation test.
+    """
     if task.kind == "bootstrap_share":
         counts = np.asarray(task.counts, dtype=np.float64)
         n = int(counts.sum())
         resamples = rng.multinomial(n, counts / n, size=size)
-        state.chunks.append(resamples[:, task.label_index] / n)
-    elif task.kind == "permutation_tvd":
-        va = np.asarray(task.a, dtype=np.float64)
-        vb = np.asarray(task.b, dtype=np.float64)
+        return resamples[:, task.label_index] / n
+    va = np.asarray(task.a, dtype=np.float64)
+    vb = np.asarray(task.b, dtype=np.float64)
+    if task.kind == "permutation_tvd":
         pooled = (va + vb).astype(np.int64)
         na = int(va.sum())
         drawn = rng.multivariate_hypergeometric(pooled, na, size=size)
@@ -346,31 +341,21 @@ def _run_round(state: _TaskState, rng: np.random.Generator, size: int) -> None:
         pa = drawn / na
         pb = rest / rest.sum(axis=1, keepdims=True)
         tvd = 0.5 * np.abs(pa - pb).sum(axis=1)
-        state.exceed += int((tvd >= state.observed - 1e-12).sum())
-    else:  # permutation_mean
-        va = np.asarray(task.a, dtype=np.float64)
-        vb = np.asarray(task.b, dtype=np.float64)
-        pooled = np.concatenate([va, vb])
-        if np.ptp(pooled) == 0.0:
-            # No variability: every permuted delta is 0 == |observed|.
-            state.exceed += size
-        else:
-            idx = rng.permuted(
-                np.tile(np.arange(pooled.size), (size, 1)), axis=1
-            )
-            shuffled = pooled[idx]
-            mean_a = shuffled[:, : va.size].mean(axis=1)
-            mean_b = shuffled[:, va.size:].mean(axis=1)
-            deltas = np.abs(mean_b - mean_a)
-            state.exceed += int(
-                (deltas >= abs(state.observed) - 1e-15).sum()
-            )
-    state.draws += size
-    state.rounds += 1
+        return int((tvd >= observed - 1e-12).sum())
+    pooled = np.concatenate([va, vb])
+    if np.ptp(pooled) == 0.0:
+        # No variability: every permuted delta is 0 == |observed|.
+        return size
+    idx = rng.permuted(np.tile(np.arange(pooled.size), (size, 1)), axis=1)
+    shuffled = pooled[idx]
+    mean_a = shuffled[:, : va.size].mean(axis=1)
+    mean_b = shuffled[:, va.size:].mean(axis=1)
+    deltas = np.abs(mean_b - mean_a)
+    return int((deltas >= abs(observed) - 1e-15).sum())
 
 
-def _standard_error(state: _TaskState) -> float:
-    """Monte-Carlo standard error of the task's estimate so far.
+def _standard_error(state: _TaskState, draws: int) -> float:
+    """Monte-Carlo standard error of the task's estimate after *draws*.
 
     Binomial s.e. of the p-value for permutation tests (with the
     add-one-smoothed p, so a zero-exceedance round still reports a
@@ -383,48 +368,100 @@ def _standard_error(state: _TaskState) -> float:
         if shares.size < 2:
             return math.inf
         return float(shares.std(ddof=1) / math.sqrt(shares.size))
-    p = (1.0 + state.exceed) / (state.draws + 1.0)
-    return math.sqrt(p * (1.0 - p) / state.draws)
+    p = (1.0 + state.exceed) / (draws + 1.0)
+    return math.sqrt(p * (1.0 - p) / draws)
 
 
-def _finish(state: _TaskState) -> StatCell:
-    task = state.task
-    if task.kind == "bootstrap_share":
-        shares = np.concatenate(state.chunks)
-        counts = task.counts
-        alpha = (1.0 - task.confidence) / 2.0
-        low, high = np.quantile(shares, [alpha, 1.0 - alpha])
-        estimate = {
-            "share": counts[task.label_index] / sum(counts),
-            "low": float(low),
-            "high": float(high),
-        }
-    else:
-        p_value = (1.0 + state.exceed) / (state.draws + 1.0)
-        estimate = {"statistic": state.observed, "p_value": p_value}
-    return StatCell(
-        name=task.name,
-        kind=task.kind,
-        draws=state.draws,
-        se=_standard_error(state),
-        estimate=estimate,
+class _TaskKind:
+    """Stat tasks as a :class:`~repro.stats.adaptive.RoundKind`.
+
+    A task's stream is indexed by round; a round is one vectorized
+    :func:`_run_round` call, run on the engine's serial path.
+    """
+
+    names = SweepNames(
+        span="stat_sweep", prefix="stat", items="tasks", units="draws",
+        record="stat-sweep",
     )
+    result_type = StatSweepResult
+    decode = staticmethod(StatCell.from_dict)
 
+    def __init__(self, spec: StatSpec) -> None:
+        self.spec = spec
+        self.adaptive = spec.adaptive
+        self.cap = spec.draw_cap
+        self.round_size = spec.round_size
+        self.plan = spec.draw_plan()
+        self.meta: dict[str, Any] = {"seed": spec.seed, "draws": spec.draws}
+        if spec.adaptive:
+            self.meta["target_se"] = spec.target_se
+            self.meta["max_draws"] = spec.draw_cap
 
-# -- the sweep driver --------------------------------------------------------------
+    def identities(self) -> list[dict[str, Any]]:
+        # Entropy is plan-free: a task's draw stream depends only on what
+        # it estimates (and the sweep seed), so a run that stops early
+        # folds a bit-identical prefix of the capped run's stream.
+        return [
+            {
+                "engine": STAT_ENGINE_VERSION,
+                "seed": self.spec.seed,
+                "task": task.identity(),
+            }
+            for task in self.spec.tasks
+        ]
 
+    def cache_key(self, identity: Mapping[str, Any]) -> str:
+        # The key adds the plan on top — a different stopping rule is a
+        # different experiment even though it shares the stream.
+        from repro.pipeline.cache import stable_digest
 
-def _task_entropy(identity: Mapping[str, Any]) -> int:
-    from repro.pipeline.cache import stable_digest
+        return stable_digest("stat-task", {**identity, "plan": self.plan})
 
-    return int(stable_digest(identity)[:32], 16)
+    def setup(
+        self, misses: list[int], entropies: list[int], tel
+    ) -> tuple[Runner, list[_TaskState]]:
+        states = [_TaskState(self.spec.tasks[index]) for index in misses]
 
+        def run(item: tuple[int, int, int]) -> np.ndarray | int:
+            slot, start, count = item
+            rng = stream_rng(entropies[slot], start // self.round_size)
+            return _run_round(
+                states[slot].task, states[slot].observed, rng, count
+            )
 
-def _round_rng(entropy: int, round_index: int) -> np.random.Generator:
-    """The dedicated generator for draw round *round_index* of a task."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy, spawn_key=(round_index,))
-    )
+        return Runner(run), states
+
+    def fold(self, state: _TaskState, partial) -> None:
+        if state.task.kind == "bootstrap_share":
+            state.chunks.append(partial)
+        else:
+            state.exceed += partial
+
+    def stop(self, state: _TaskState, folded: int) -> bool:
+        return _standard_error(state, folded) <= self.spec.target_se
+
+    def finish(self, slot: int, state: _TaskState, folded: int) -> StatCell:
+        task = state.task
+        if task.kind == "bootstrap_share":
+            shares = np.concatenate(state.chunks)
+            counts = task.counts
+            alpha = (1.0 - task.confidence) / 2.0
+            low, high = np.quantile(shares, [alpha, 1.0 - alpha])
+            estimate = {
+                "share": counts[task.label_index] / sum(counts),
+                "low": float(low),
+                "high": float(high),
+            }
+        else:
+            p_value = (1.0 + state.exceed) / (folded + 1.0)
+            estimate = {"statistic": state.observed, "p_value": p_value}
+        return StatCell(
+            name=task.name,
+            kind=task.kind,
+            draws=folded,
+            se=_standard_error(state, folded),
+            estimate=estimate,
+        )
 
 
 def run_stat_sweep(
@@ -445,119 +482,9 @@ def run_stat_sweep(
     record built by the same :func:`~repro.obs.build_sweep_record` that
     digests mc-sweeps.
     """
-    tel = ensure(telemetry)
-    if not tel.enabled:
-        return _run_stat_sweep(spec, cache, tel, registry)
-    with tel.tracer.span(
-        "stat_sweep",
-        tasks=len(spec.tasks),
-        draws=spec.draw_cap,
-        adaptive=spec.adaptive,
-    ) as span:
-        result = _run_stat_sweep(spec, cache, tel, registry)
-        span.tags.update(
-            computed=len(result.computed),
-            cached=len(result.cached),
-        )
-        tel.log.info(
-            "stat_sweep.finish",
-            tasks=len(result.cells),
-            computed=len(result.computed),
-            cached=len(result.cached),
-            draws_run=result.n_replications_run,
-        )
-    return result
-
-
-def _run_stat_sweep(spec: StatSpec, cache, tel, registry) -> StatSweepResult:
-    from repro.pipeline.cache import stable_digest
-
-    plan = spec.draw_plan()
-    # Entropy is plan-free: a task's draw stream depends only on what it
-    # estimates (and the sweep seed), so a run that stops early folds a
-    # bit-identical prefix of the capped run's stream.  The cache key
-    # adds the plan on top — a different stopping rule is a different
-    # experiment even though it shares the stream.
-    identities = {
-        task.name: {
-            "engine": STAT_ENGINE_VERSION,
-            "seed": spec.seed,
-            "task": task.identity(),
-        }
-        for task in spec.tasks
-    }
-    cache_keys = {
-        task.name: stable_digest(
-            "stat-task", {**identities[task.name], "plan": plan}
-        )
-        for task in spec.tasks
-    }
-
-    cells: dict[str, StatCell] = {}
-    cached_ids: list[str] = []
-    misses: list[StatTask] = []
-    for task in spec.tasks:
-        payload = cache.get(cache_keys[task.name]) if cache is not None else None
-        if payload is not None:
-            cells[task.name] = StatCell.from_dict(payload)
-            cached_ids.append(cells[task.name].cell_id)
-        else:
-            misses.append(task)
-
-    draws_run = 0
-    rounds_run = 0
-    for task in misses:
-        entropy = _task_entropy(identities[task.name])
-        state = _TaskState(task)
-        cap = spec.draw_cap
-        while state.draws < cap:
-            size = min(spec.round_size, cap - state.draws)
-            _run_round(state, _round_rng(entropy, state.rounds), size)
-            if spec.adaptive and _standard_error(state) <= spec.target_se:
-                break
-        cell = _finish(state)
-        cells[task.name] = cell
-        draws_run += state.draws
-        rounds_run += state.rounds
-        if cache is not None:
-            cache.store(cache_keys[task.name], cell.to_dict())
-
-    budget = spec.draw_cap * len(misses)
-    result = StatSweepResult(
-        cells=tuple(cells[task.name] for task in spec.tasks),
-        computed=tuple(cells[task.name].cell_id for task in misses),
-        cached=tuple(cached_ids),
-        n_replications_run=draws_run,
-        n_replications_budget=budget,
+    return run_rounds(
+        _TaskKind(spec), cache=cache, telemetry=telemetry, registry=registry
     )
-    if tel.enabled:
-        metrics = tel.metrics
-        metrics.counter("stat.draws").inc(draws_run)
-        metrics.counter("stat.tasks_computed").inc(len(result.computed))
-        metrics.counter("stat.tasks_cached").inc(len(result.cached))
-        if misses:
-            metrics.counter("stat.rounds").inc(rounds_run)
-        if spec.adaptive:
-            metrics.counter("stat.draws_saved").inc(
-                result.n_replications_saved
-            )
-    if registry is not None:
-        from repro.obs import build_sweep_record
-
-        meta: dict[str, Any] = {"seed": spec.seed, "draws": spec.draws}
-        if spec.adaptive:
-            meta["target_se"] = spec.target_se
-            meta["max_draws"] = spec.draw_cap
-        registry.record(
-            build_sweep_record(
-                result,
-                telemetry=tel if tel.enabled else None,
-                config_digest=stable_digest(sorted(cache_keys.values())),
-                kind="stat-sweep",
-                meta=meta,
-            )
-        )
-    return result
 
 
 # -- front doors -------------------------------------------------------------------

@@ -727,15 +727,11 @@ class TestConcurrentArtifactCache:
         barrier = threading.Barrier(n)
 
         def compute():
-            value = {"expensive": True}
-            cache.store(key, value)
-            return value
+            return {"expensive": True}
 
         def request():
             barrier.wait(10.0)
-            cached = cache.get(key)
-            if cached is None:
-                flight.do(key, compute)
+            cache.get_or_compute(key, compute, flight=flight)
 
         threads = [threading.Thread(target=request) for _ in range(n)]
         for t in threads:
