@@ -13,6 +13,8 @@
 #   scripts/check.sh --gate          # suite, then record + regression gate
 #   scripts/check.sh --smoke         # boot `repro serve` on an ephemeral
 #                                    # port, hit /health, shut down clean
+#   scripts/check.sh --stress N      # run the concurrency suites N times,
+#                                    # stop at the first failing round
 #   scripts/check.sh tests/test_x.py # any pytest selection (repo-relative
 #                                    # or absolute paths both work)
 #
@@ -28,6 +30,11 @@
 # watchdog's verdict: 0 = clean, 3 = result drift, 4 = confirmed perf
 # regression.  The first recorded run has nothing to compare against and
 # gates clean.
+#
+# --stress N repeats a selection N times and exits with pytest's status
+# at the first failing round, to shake out flaky races.  Without a
+# selection it repeats tests/test_serve.py: the serve stack plus the
+# SingleFlight, ArtifactCache and RunRegistry race tests.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -36,11 +43,18 @@ export PYTHONPATH="${REPO_ROOT}/src${PYTHONPATH:+:${PYTHONPATH}}"
 RUN_BENCH=0
 RUN_GATE=0
 RUN_SMOKE=0
+STRESS_ROUNDS=0
 while :; do
     case "${1:-}" in
         --bench) RUN_BENCH=1; shift ;;
         --gate)  RUN_GATE=1; shift ;;
         --smoke) RUN_SMOKE=1; shift ;;
+        --stress)
+            if [ "$#" -lt 2 ] || ! [[ "$2" =~ ^[1-9][0-9]*$ ]]; then
+                echo "check.sh: --stress needs a positive round count" >&2
+                exit 2
+            fi
+            STRESS_ROUNDS="$2"; shift 2 ;;
         *) break ;;
     esac
 done
@@ -67,7 +81,9 @@ SMOKE
     exit 0
 fi
 
-if [ "$#" -eq 0 ]; then
+if [ "$#" -eq 0 ] && [ "${STRESS_ROUNDS}" -gt 0 ]; then
+    set -- "${REPO_ROOT}/tests/test_serve.py"
+elif [ "$#" -eq 0 ]; then
     set -- "${REPO_ROOT}/tests"
 else
     # Resolve repo-relative selections (tests/test_x.py[::node]) so they
@@ -82,6 +98,20 @@ else
         args+=("${arg}")
     done
     set -- "${args[@]}"
+fi
+
+if [ "${STRESS_ROUNDS}" -gt 0 ]; then
+    for round in $(seq 1 "${STRESS_ROUNDS}"); do
+        echo "stress round ${round}/${STRESS_ROUNDS}"
+        status=0
+        python -m pytest "$@" --rootdir="${REPO_ROOT}" -q || status=$?
+        if [ "${status}" -ne 0 ]; then
+            echo "stress: round ${round}/${STRESS_ROUNDS} failed" >&2
+            exit "${status}"
+        fi
+    done
+    echo "stress: ${STRESS_ROUNDS} round(s) passed"
+    exit 0
 fi
 
 if [ "${RUN_BENCH}" -eq 1 ]; then

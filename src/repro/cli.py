@@ -39,7 +39,7 @@ Subcommands
     (``--lenient`` skips unusable entries and reports them,
     ``--on-collision suffix|skip`` survives citation-key reuse),
     evaluate boolean queries against its inverted term index, merge
-    near-duplicates with SQL-blocked detection, and print store
+    near-duplicates with rare-shingle blocked detection, and print store
     statistics.  ``--record`` appends the operation to the run ledger.
 ``runs list|show|compare|gc``
     Inspect and gate on the persistent run ledger (``repro.obs``).

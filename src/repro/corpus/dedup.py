@@ -11,18 +11,27 @@ with a union-find structure:
    block sizes small — ubiquitous shingles like ``tion`` would otherwise
    put most of the corpus into one block and reintroduce the O(n²)
    all-pairs comparison.  True near-duplicates share the large majority of
-   their shingles, so they share rare ones too.
+   their shingles, so they share rare ones too.  :func:`candidate_pairs`
+   computes the blocking exactly, as one numpy kernel over integer
+   shingle ids, and streams the pairs in bounded record chunks.
 2. **Scoring** — two complementary measures over title shingles: Jaccard
    similarity (catches spelling/case variants) and containment
    (``|A∩B| / min(|A|,|B|)``, catches subtitle truncation where one title
    is a prefix of the other), gated by year compatibility (missing years
    are compatible with everything).
 3. **Clustering** — union-find over pairs passing either measure.
+
+Blocking is exact rather than MinHash-LSH on purpose: LSH bands tuned for
+the Jaccard threshold miss subtitle-truncated pairs, which merge on
+containment while their Jaccard similarity sits far below the threshold.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Collection, Iterator, Sequence
+from itertools import chain
+
+import numpy as np
 
 from repro.corpus.publication import Publication
 from repro.errors import CorpusError
@@ -30,6 +39,8 @@ from repro.errors import CorpusError
 __all__ = [
     "BLOCKING_KEYS",
     "DuplicateCluster",
+    "PAIR_CHUNK",
+    "candidate_pairs",
     "find_duplicates",
     "merge_cluster",
     "pair_similarity",
@@ -38,10 +49,13 @@ __all__ = [
     "years_compatible",
 ]
 
-#: Rare shingles indexed per record by the blocking stage.  Shared with
-#: the SQL-blocked path in :mod:`repro.corpus.store` so both produce the
-#: same candidate pairs.
+#: Rare shingles indexed per record by the blocking stage.
 BLOCKING_KEYS = 10
+
+#: Records per chunk of :func:`candidate_pairs`.  A chunk's pairs are
+#: expanded, deduplicated and handed out before the next chunk starts, so
+#: working memory follows the chunk, not the corpus-wide pair count.
+PAIR_CHUNK = 1024
 
 
 class _UnionFind:
@@ -74,6 +88,137 @@ def title_shingles(normalized_title: str, k: int = 4) -> frozenset[str]:
     if len(text) <= k:
         return frozenset((text,)) if text else frozenset()
     return frozenset(text[i : i + k] for i in range(len(text) - k + 1))
+
+
+def candidate_pairs(
+    shingle_sets: Sequence[Collection[str]],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Stream the blocked candidate pairs of a corpus.
+
+    Each record's *blocking keys* are its ``BLOCKING_KEYS`` rarest
+    shingles: fewest records holding the shingle first, ties broken by
+    the code-point order of the shingle strings (which is also SQLite's
+    ``BINARY`` order on UTF-8 text).  Records ``i < j`` are a candidate
+    pair when a shingle of one is a blocking key of the other.
+
+    Parameters
+    ----------
+    shingle_sets:
+        One shingle set per record, as from :func:`title_shingles`.
+
+    Yields
+    ------
+    (left, right)
+        Record-index arrays, one chunk per ``PAIR_CHUNK`` records of
+        ``left``.  Every pair appears exactly once, with
+        ``left < right``, and the concatenated stream is sorted.
+    """
+    n = len(shingle_sets)
+    sizes = np.fromiter(map(len, shingle_sets), np.int64, count=n)
+    total = int(sizes.sum())
+    if n < 2 or total == 0:
+        return
+    # Each spent array is dropped at once: at 100k records one int64
+    # entry per shingle is ~50 MB, against the 100k benchmark's 512 MB
+    # heap gate.
+    # Shingle ids follow the code-point order of the strings, so integer
+    # order reproduces the string tie-break.
+    vocabulary = sorted(dict.fromkeys(chain.from_iterable(shingle_sets)))
+    n_codes = len(vocabulary)
+    ids = dict(zip(vocabulary, range(n_codes)))
+    del vocabulary
+    codes = np.fromiter(
+        map(ids.__getitem__, chain.from_iterable(shingle_sets)),
+        np.int32,
+        count=total,
+    )
+    del ids
+    owner = np.repeat(np.arange(n, dtype=np.int32), sizes)
+    offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    frequency = np.bincount(codes, minlength=n_codes)
+
+    # Rank every shingle by (frequency, code) once; one sort of the
+    # owner-major rank keys then lists each record's rarest shingles first.
+    by_rarity = np.lexsort((np.arange(n_codes), frequency)).astype(np.int32)
+    rarity = np.empty(n_codes, np.int32)
+    rarity[by_rarity] = np.arange(n_codes, dtype=np.int32)
+    ranked = owner.astype(np.int64)
+    ranked *= n_codes
+    ranked += rarity[codes]
+    ranked.sort()
+    del rarity
+    block_sizes = np.minimum(sizes, BLOCKING_KEYS)
+    block_offsets = np.zeros(n + 1, np.int64)
+    np.cumsum(block_sizes, out=block_offsets[1:])
+    ranked = ranked[
+        np.repeat(offsets[:-1] - block_offsets[:-1], block_sizes)
+        + np.arange(block_offsets[-1])
+    ]
+    block_codes = by_rarity[ranked % n_codes]
+    block_postings = _postings(block_codes, ranked // n_codes, n, n_codes)
+    del ranked, by_rarity
+    full_postings = _postings(codes, owner, n, n_codes)
+    del owner
+
+    for first in range(0, n, PAIR_CHUNK):
+        last = min(first + PAIR_CHUNK, n)
+        rows = np.arange(first, last)
+        pairs = np.concatenate((
+            # The chunk's full shingles against other records' blocks ...
+            _partners(
+                *block_postings,
+                codes[offsets[first]:offsets[last]],
+                np.repeat(rows, sizes[first:last]),
+                n,
+            ),
+            # ... and the chunk's blocks against other records' shingles.
+            _partners(
+                *full_postings,
+                block_codes[block_offsets[first]:block_offsets[last]],
+                np.repeat(rows, block_sizes[first:last]),
+                n,
+            ),
+        ))
+        pairs.sort()
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+        if len(pairs):
+            yield pairs // n, pairs % n
+
+
+def _postings(
+    codes: np.ndarray, owners: np.ndarray, n: int, n_codes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """CSR posting lists of *codes* held by *owners*.
+
+    Returns every code's owners, ascending and grouped by code, and the
+    ``n_codes + 1`` offsets where each code's group starts.
+    """
+    keys = codes.astype(np.int64)
+    keys *= n
+    keys += owners
+    keys.sort()
+    starts = np.searchsorted(keys, np.arange(n_codes + 1, dtype=np.int64) * n)
+    np.remainder(keys, n, out=keys)
+    return keys.astype(np.int32), starts
+
+
+def _partners(
+    owners: np.ndarray,
+    starts: np.ndarray,
+    codes: np.ndarray,
+    rows: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Pair keys ``row * n + j`` for every posting ``j > row`` of each code."""
+    first = starts[codes]
+    counts = starts[codes + 1] - first
+    index = np.repeat(first - np.cumsum(counts) + counts, counts)
+    index += np.arange(len(index))
+    partners = owners[index]
+    left = np.repeat(rows, counts)
+    keep = partners > left
+    return left[keep] * n + partners[keep]
 
 
 def years_compatible(a: int | None, b: int | None, slack: int = 1) -> bool:
@@ -163,40 +308,18 @@ def find_duplicates(
         for pub in publications
     ]
 
-    # Blocking: index each record under its rarest shingles, then probe the
-    # index with every record's FULL shingle set.  Index-side rarity keeps
-    # blocks small; query-side completeness keeps recall — a truncated title
-    # still probes the shingles its superset indexed.
-    frequency: dict[str, int] = {}
-    for shingles in shingle_sets:
-        for shingle in shingles:
-            frequency[shingle] = frequency.get(shingle, 0) + 1
-    blocks: dict[str, list[int]] = {}
-    for i, shingles in enumerate(shingle_sets):
-        rare = sorted(shingles, key=lambda s: (frequency[s], s))[:BLOCKING_KEYS]
-        for shingle in rare:
-            blocks.setdefault(shingle, []).append(i)
-
     union_find = _UnionFind(n)
-    seen_pairs: set[tuple[int, int]] = set()
-    for i in range(n):
-        for shingle in shingle_sets[i]:
-            for j in blocks.get(shingle, ()):
-                if j == i:
-                    continue
-                pair = (min(i, j), max(i, j))
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                if not years_compatible(
-                    publications[i].year, publications[j].year, year_slack
-                ):
-                    continue
-                jac, containment = pair_similarity(
-                    shingle_sets[i], shingle_sets[j]
-                )
-                if jac >= threshold or containment >= containment_threshold:
-                    union_find.union(i, j)
+    for left, right in candidate_pairs(shingle_sets):
+        for i, j in zip(left.tolist(), right.tolist()):
+            if not years_compatible(
+                publications[i].year, publications[j].year, year_slack
+            ):
+                continue
+            jac, containment = pair_similarity(
+                shingle_sets[i], shingle_sets[j]
+            )
+            if jac >= threshold or containment >= containment_threshold:
+                union_find.union(i, j)
 
     clusters: dict[int, list[int]] = {}
     for i in range(n):

@@ -17,13 +17,13 @@ hundreds of records the study saw to millions:
   range scans for ``prefix*`` wildcards, intersections for phrases),
   then post-filters only the candidates with the compiled matcher — no
   full scan unless the query is negation-rooted;
-* **SQL-blocked deduplication** — :meth:`CorpusStore.deduplicate` reuses
-  the rare-shingle blocking of :mod:`repro.corpus.dedup` but stages the
-  shingle and block tables in SQLite and streams ``DISTINCT`` candidate
-  pairs out of a SQL join, so the pair set lives in a disk-backed B-tree
-  instead of an in-memory ``seen_pairs`` set.  Scoring, year gating, and
-  clustering are shared with the in-memory path, so the merged result is
-  bit-identical to ``Corpus.deduplicate`` on the same records.
+* **in-memory blocked deduplication** — :meth:`CorpusStore.deduplicate`
+  shingles every title once and streams candidate pairs from the exact
+  rare-shingle blocking kernel :func:`repro.corpus.dedup.candidate_pairs`
+  (numpy posting lists over integer shingle ids, bounded record chunks),
+  so no O(pairs) structure is ever held.  Blocking, scoring, year gating,
+  and clustering are shared with the in-memory path, so the merged
+  result is bit-identical to ``Corpus.deduplicate`` on the same records.
 
 Every phase is instrumented with :mod:`repro.telemetry` spans and
 ``corpus.*`` counters behind the usual zero-overhead null default.
@@ -46,8 +46,8 @@ from repro.corpus.bibtex import (
 )
 from repro.corpus.corpus import COLLISION_POLICIES
 from repro.corpus.dedup import (
-    BLOCKING_KEYS,
     _UnionFind,
+    candidate_pairs,
     merge_cluster,
     pair_similarity,
     title_shingles,
@@ -162,7 +162,7 @@ class DedupSummary:
     dropped:
         Records deleted (cluster members beyond the first).
     pairs_scored:
-        Candidate pairs streamed out of the SQL block join and scored.
+        Candidate pairs streamed out of the blocking kernel and scored.
     """
 
     clusters: int = 0
@@ -658,10 +658,10 @@ class CorpusStore:
         :func:`repro.corpus.dedup.find_duplicates` /
         :func:`~repro.corpus.dedup.merge_cluster`, so the surviving
         records are bit-identical to ``Corpus.deduplicate`` on the same
-        input — but candidate pairs stream out of a SQL join over
-        temp shingle/block tables (disk-backed ``DISTINCT`` B-tree)
-        instead of an all-pairs ``seen_pairs`` set, keeping Python-heap
-        memory O(records), not O(pairs).
+        input.  Candidate pairs stream chunk by chunk out of
+        :func:`~repro.corpus.dedup.candidate_pairs`, so Python-heap
+        memory stays O(records): the interned per-record shingle sets
+        plus the kernel's posting lists, never an O(pairs) set.
         """
         validate_dedup_params(threshold, containment_threshold, shingle_size)
         tel = self._telemetry
@@ -669,108 +669,46 @@ class CorpusStore:
         with tel.tracer.span("corpus.dedup"):
             if len(self) < 2:
                 return DedupSummary()
-            db.executescript(
-                """
-                DROP TABLE IF EXISTS temp.dedup_shingles;
-                DROP TABLE IF EXISTS temp.dedup_blocks;
-                CREATE TEMP TABLE dedup_shingles (
-                    pub_id INTEGER NOT NULL,
-                    shingle TEXT NOT NULL
-                );
-                """
-            )
-            batch: list[tuple[int, str]] = []
-            for pub_id, title in db.execute(
-                "SELECT id, title FROM pubs ORDER BY id"
-            ).fetchall():
-                batch.extend(
-                    (pub_id, shingle)
-                    for shingle in title_shingles(
-                        normalize_title(title), shingle_size
-                    )
+            rows = db.execute(
+                "SELECT id, year, title FROM pubs ORDER BY id"
+            ).fetchall()
+            ids = [pub_id for pub_id, _, _ in rows]
+            years = [year for _, year, _ in rows]
+            # Interning collapses the per-record copies of each shingle
+            # string into one object per distinct shingle, which keeps the
+            # O(records) shingle sets well under the heap gate at scale.
+            interned: dict[str, str] = {}
+            shingle_sets = [
+                frozenset(map(interned.setdefault, shingles, shingles))
+                for shingles in (
+                    title_shingles(normalize_title(title), shingle_size)
+                    for _, _, title in rows
                 )
-                if len(batch) >= 50_000:
-                    db.executemany(
-                        "INSERT INTO dedup_shingles (pub_id, shingle)"
-                        " VALUES (?, ?)",
-                        batch,
-                    )
-                    batch.clear()
-            if batch:
-                db.executemany(
-                    "INSERT INTO dedup_shingles (pub_id, shingle)"
-                    " VALUES (?, ?)",
-                    batch,
-                )
-                batch.clear()
-            db.executescript(
-                f"""
-                CREATE INDEX temp.idx_dedup_shingles_sh
-                    ON dedup_shingles(shingle);
-                CREATE TEMP TABLE dedup_blocks AS
-                    SELECT pub_id, shingle FROM (
-                        SELECT s.pub_id, s.shingle,
-                               ROW_NUMBER() OVER (
-                                   PARTITION BY s.pub_id
-                                   ORDER BY f.c, s.shingle
-                               ) AS rn
-                        FROM dedup_shingles s
-                        JOIN (
-                            SELECT shingle, COUNT(*) AS c
-                            FROM dedup_shingles GROUP BY shingle
-                        ) f ON f.shingle = s.shingle
-                    ) WHERE rn <= {BLOCKING_KEYS};
-                CREATE INDEX temp.idx_dedup_blocks_sh
-                    ON dedup_blocks(shingle);
-                """
-            )
-
-            years: dict[int, int | None] = dict(
-                db.execute("SELECT id, year FROM pubs")
-            )
-            ids = sorted(years)
-            dense = {pub_id: i for i, pub_id in enumerate(ids)}
+            ]
+            del rows, interned
             union_find = _UnionFind(len(ids))
 
-            # One sequential scan materializes every record's shingle set
-            # — O(records) memory, like the in-memory path.  The savings
-            # over `find_duplicates` is the O(pairs) `seen_pairs` set,
-            # which lives in the SQL DISTINCT B-tree below instead.
-            # Interning collapses the per-row str copies SQLite hands
-            # back into one object per distinct shingle.
-            interned: dict[str, str] = {}
-            shingle_sets: dict[int, set[str]] = {}
-            for pub_id, shingle in db.execute(
-                "SELECT pub_id, shingle FROM dedup_shingles"
-            ):
-                shingle_sets.setdefault(pub_id, set()).add(
-                    interned.setdefault(shingle, shingle)
-                )
-            interned.clear()
-
             pairs_scored = 0
-            pair_cursor = db.execute(
-                "SELECT DISTINCT min(s.pub_id, b.pub_id),"
-                " max(s.pub_id, b.pub_id)"
-                " FROM dedup_shingles s JOIN dedup_blocks b"
-                " ON b.shingle = s.shingle AND s.pub_id != b.pub_id"
-            )
-            for left, right in pair_cursor:
-                pairs_scored += 1
-                if not years_compatible(years[left], years[right], year_slack):
-                    continue
-                jaccard, containment = pair_similarity(
-                    shingle_sets[left], shingle_sets[right]
-                )
-                if jaccard >= threshold or containment >= containment_threshold:
-                    union_find.union(dense[left], dense[right])
+            for left, right in candidate_pairs(shingle_sets):
+                pairs_scored += len(left)
+                for i, j in zip(left.tolist(), right.tolist()):
+                    if not years_compatible(years[i], years[j], year_slack):
+                        continue
+                    jaccard, containment = pair_similarity(
+                        shingle_sets[i], shingle_sets[j]
+                    )
+                    if (
+                        jaccard >= threshold
+                        or containment >= containment_threshold
+                    ):
+                        union_find.union(i, j)
             tel.metrics.counter("corpus.dedup_pairs_scored").inc(pairs_scored)
-            shingle_sets.clear()
+            del shingle_sets
 
             clusters: dict[int, list[int]] = {}
-            for pub_id in ids:
+            for position, pub_id in enumerate(ids):
                 clusters.setdefault(
-                    union_find.find(dense[pub_id]), []
+                    union_find.find(position), []
                 ).append(pub_id)
             duplicate_clusters = [
                 members
@@ -824,10 +762,6 @@ class CorpusStore:
                 db.rollback()
                 raise
             db.commit()
-            db.executescript(
-                "DROP TABLE IF EXISTS temp.dedup_shingles;"
-                "DROP TABLE IF EXISTS temp.dedup_blocks;"
-            )
             tel.metrics.counter("corpus.dedup_clusters").inc(
                 len(duplicate_clusters)
             )

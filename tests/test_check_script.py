@@ -67,3 +67,46 @@ def test_check_script_smoke_boots_and_drains_server(tmp_path):
     )
     assert "/health ok" in result.stdout
     assert "graceful shutdown clean" in result.stdout
+
+
+def _run_check(args, cwd, timeout=300):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        ["bash", str(CHECK_SH), *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=env,
+        timeout=timeout,
+    )
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash unavailable")
+def test_check_script_stress_repeats_selection(tmp_path):
+    """``--stress N`` reruns a selection N times and reports every round."""
+    result = _run_check(["--stress", "2", SMOKE_SELECTION], tmp_path)
+    assert result.returncode == 0, (
+        result.stdout[-2000:] + result.stderr[-2000:]
+    )
+    assert "stress round 1/2" in result.stdout
+    assert "stress round 2/2" in result.stdout
+    assert "stress: 2 round(s) passed" in result.stdout
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash unavailable")
+def test_check_script_stress_stops_at_first_failure(tmp_path):
+    failing = tmp_path / "test_always_fails.py"
+    failing.write_text("def test_fails():\n    assert False\n")
+    result = _run_check(["--stress", "3", str(failing)], tmp_path)
+    assert result.returncode == 1
+    assert "stress round 1/3" in result.stdout
+    assert "stress round 2/3" not in result.stdout
+    assert "round 1/3 failed" in result.stderr
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="bash unavailable")
+@pytest.mark.parametrize("rounds", [[], ["0"], ["many"]])
+def test_check_script_stress_needs_round_count(tmp_path, rounds):
+    result = _run_check(["--stress", *rounds], tmp_path, timeout=60)
+    assert result.returncode == 2
+    assert "positive round count" in result.stderr

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.corpus.dedup import find_duplicates, merge_cluster
 from repro.corpus.publication import Publication
 from repro.corpus.query import Query
+from repro.corpus.store import CorpusStore
 from repro.errors import QueryError
 
 words = st.sampled_from(
@@ -52,6 +53,38 @@ class TestDedupProperties:
         a = Publication(key="a", title=title, year=2020)
         b = Publication(key="b", title=title, year=2020)
         assert len(find_duplicates([a, b])) == 1
+
+
+    @given(
+        st.lists(titles, min_size=1, max_size=4, unique=True),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=3),
+                      st.integers(min_value=2019, max_value=2022),
+                      st.booleans(), st.booleans()),
+            min_size=2, max_size=10,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_find_duplicates_clusters_equal_store_survivors(self, bases, rows):
+        pubs = []
+        for i, (base, year, shout, doi) in enumerate(rows):
+            title = bases[base % len(bases)]
+            pubs.append(Publication(
+                key=f"p{i}", title=title.upper() if shout else title,
+                year=year, doi=f"10.1000/{i}" if doi else "",
+            ))
+        clusters = find_duplicates(pubs)
+        merged = {c[0].key: merge_cluster(c) for c in clusters}
+        dropped = {pub.key for cluster in clusters for pub in cluster[1:]}
+        expected = [merged.get(pub.key, pub) for pub in pubs
+                    if pub.key not in dropped]
+
+        store = CorpusStore()
+        store.extend(pubs)
+        summary = store.deduplicate()
+        assert list(store) == expected
+        assert summary.clusters == len(clusters)
+        assert summary.dropped == len(dropped)
 
 
 class TestQueryProperties:
