@@ -160,9 +160,7 @@ def test_bench_huge_fleet_end_to_end(benchmark):
         schedule = HeftScheduler().schedule(
             wf, continuum, problem=problem
         )  # validates internally
-        trace = simulate_schedule(
-            schedule, jitter=0.2, seed=7, problem=problem
-        )
+        trace = simulate_schedule(schedule, jitter=0.2, seed=7)
         return schedule, trace
 
     start = time.perf_counter()

@@ -208,10 +208,11 @@ class CompiledContinuum:
 class CompiledProblem:
     """One workflow × continuum pairing with every invariant precomputed.
 
-    Shared freely: the scheduling kernels, the vectorized validator, the
-    compiled simulator, and the Monte-Carlo ``SimulationContext`` all run
-    against the same instance, so a sweep compiles each workflow exactly
-    once regardless of how many schedulers/cells use it.
+    Shared freely: every :class:`~repro.continuum.scheduling.Schedule`
+    placed on it owns it (``Schedule.problem``), and the vectorized
+    validator, both simulators, and the Monte-Carlo ``SimulationContext``
+    read it from there, so a sweep compiles each workflow exactly once
+    regardless of how many schedulers/cells use it.
     """
 
     __slots__ = (
@@ -318,20 +319,25 @@ class CompiledProblem:
             ]
         return self._feasible_id_lists
 
-    def transfer_lists(self) -> list[list[list[float]]]:
-        """The full ``task × src × dst`` transfer table as nested lists.
+    def transfer_lists(self) -> list[list[list[float] | None]]:
+        """The ``task × src × dst`` transfer table as nested lists, built
+        one ``(task, src)`` row at a time.
 
-        Only sensible for replay-sized fleets (Monte-Carlo uses it); the
-        scheduling kernels use :meth:`transfer_row` instead, which stays
-        O(n_resources) per lookup at any fleet size.
+        ``table[task][src]`` stays ``None`` until a replay stores
+        :meth:`task_transfer_row` there, so it pays for the rows it
+        visits (one per task and resource it finished on) instead of
+        ``n_tasks × n_resources²`` floats up front.
         """
         if self._transfer_lists is None:
-            lat, bw = self.cc.latency, self.cc.bandwidth
-            outputs = self.cw.output_size
-            self._transfer_lists = (
-                lat[None, :, :] + outputs[:, None, None] / bw[None, :, :]
-            ).tolist()
+            n_res = self.cc.n_resources
+            self._transfer_lists = [[None] * n_res for _ in range(self.cw.n_tasks)]
         return self._transfer_lists
+
+    def task_transfer_row(self, task_id: int, src: int) -> list[float]:
+        """:meth:`transfer_row` of task *task_id*'s output, as a list."""
+        return self.transfer_row(
+            float(self.cw.output_size[task_id]), src
+        ).tolist()
 
 
 def compile_problem(workflow: Workflow, continuum: Continuum) -> CompiledProblem:

@@ -15,7 +15,15 @@ The replay is a *list-scheduling replay*: tasks run in dependency
 (topological) order, each starting as soon as its inputs have arrived and
 its resource is free — the plan fixes the task→resource mapping, reality
 fixes the timing.  Returned metrics quantify the fault-tolerance cost:
-failure count, retries, lost work, and makespan inflation.
+failure count, retries, lost work, and makespan inflation.  A failure
+that fires while its resource is idle is a harmless reboot: it is
+counted as injected but kills nothing.
+
+The replay itself is the Monte-Carlo kernel
+(:func:`repro.continuum.montecarlo._replicate`): this function runs one
+replication of it on the schedule's compiled problem and lifts the
+kernel's integer-id start/finish times into a :class:`FailureTrace`, so
+one-shot replays and sweeps share a single implementation.
 
 Passing ``telemetry=`` traces the replay (``simulate_failures`` span),
 logs every killed attempt (``sim.failure``), and mirrors the cost into
@@ -30,7 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.continuum.resources import Continuum
+from repro.continuum.montecarlo import (
+    SimulationContext,
+    _replicate,
+    _validate_cell_params,
+)
 from repro.continuum.scheduling import Schedule, TaskPlacement
 from repro.errors import ContinuumError
 from repro.telemetry import ensure
@@ -70,38 +82,6 @@ class FailureTrace:
         return self.makespan / self.planned_makespan
 
 
-class _FailureClock:
-    """Per-resource Poisson failure process, sampled lazily."""
-
-    def __init__(self, keys, mtbf: float, rng: np.random.Generator) -> None:
-        self._mtbf = mtbf
-        self._rng = rng
-        self._next: dict[str, float] = {
-            key: float(rng.exponential(mtbf)) for key in keys
-        }
-        #: Failures that fired (harmless idle reboots included) — the
-        #: ``sim.failures_injected`` counter.
-        self.consumed = 0
-
-    def next_failure(self, resource: str) -> float:
-        return self._next[resource]
-
-    def consume(self, resource: str) -> None:
-        """The pending failure happened; sample the next one."""
-        self.consumed += 1
-        self._next[resource] += float(self._rng.exponential(self._mtbf))
-
-    def advance_past(self, resource: str, time: float) -> None:
-        """Discard failures that elapsed while the resource was idle.
-
-        A failure of an idle node is modelled as harmless (it reboots with
-        nothing to lose), so pending failure times strictly before *time*
-        are skipped.
-        """
-        while self._next[resource] < time:
-            self.consume(resource)
-
-
 def simulate_with_failures(
     schedule: Schedule,
     *,
@@ -118,9 +98,12 @@ def simulate_with_failures(
     Parameters
     ----------
     schedule:
-        The plan (fixes the task→resource mapping and task order).
+        The plan (fixes the task→resource mapping and task order); its
+        compiled problem is reused across calls.
     mtbf:
-        Mean time between failures per resource, in simulated seconds.
+        Mean time between failures per resource, in simulated seconds
+        (required; :func:`~repro.continuum.simulate.simulate_schedule`
+        executes a plan without failures).
     repair_time:
         Downtime after each failure.
     policy:
@@ -133,42 +116,61 @@ def simulate_with_failures(
         :mod:`repro.continuum.montecarlo` hand in per-replication
         spawned streams.
     max_attempts:
-        Abort with :class:`ContinuumError` if one task fails this often —
-        guards against ``mtbf`` far below task durations.
+        Abort with :class:`ContinuumError`, naming the task, if one task
+        fails this often — guards against ``mtbf`` far below task
+        durations.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; when bound the replay
         is traced (``simulate_failures`` span), every killed attempt is
-        logged (``sim.failure``), and the counters
+        logged (``sim.failure``, in replay order), and the counters
         ``sim.failures_injected`` (failures fired, harmless idle reboots
         included), ``sim.retries`` (attempts killed mid-execution),
-        ``sim.migrations``, ``sim.events`` (attempts started) and
-        ``sim.tasks`` feed the run-ledger metrics snapshot.
+        ``sim.migrations``, ``sim.events`` (attempts started: one per
+        task plus one per retry) and ``sim.tasks`` feed the run-ledger
+        metrics snapshot.
     """
-    if mtbf <= 0:
-        raise ContinuumError("mtbf must be > 0")
-    if repair_time < 0:
-        raise ContinuumError("repair_time must be >= 0")
-    if policy not in ("restart", "migrate"):
-        raise ContinuumError(f"unknown policy {policy!r}")
-    if max_attempts < 1:
-        raise ContinuumError("max_attempts must be >= 1")
+    if mtbf is None:
+        raise ContinuumError(
+            "mtbf must be > 0; use simulate_schedule for a failure-free run"
+        )
+    _validate_cell_params(
+        mtbf=mtbf, repair_time=repair_time, policy=policy, jitter=0.0,
+        max_attempts=max_attempts,
+    )
     if rng is not None and seed is not None:
         raise ContinuumError("provide either seed or rng, not both")
     if rng is None:
         rng = np.random.default_rng(seed)
 
+    context = SimulationContext(schedule)
     tel = ensure(telemetry)
     if not tel.enabled:
-        return _replay(schedule, mtbf, repair_time, policy, rng, max_attempts, tel)[0]
+        return _run(context, mtbf, repair_time, policy, max_attempts, rng)[0]
     with tel.tracer.span(
         "simulate_failures",
         policy=policy,
         mtbf=mtbf,
         tasks=len(schedule.workflow),
     ) as span:
-        trace, injected, attempts = _replay(
-            schedule, mtbf, repair_time, policy, rng, max_attempts, tel
-        )
+        killed: list[tuple[int, int, float, float, int]] = []
+        try:
+            trace, injected, attempts = _run(
+                context, mtbf, repair_time, policy, max_attempts, rng, killed
+            )
+        finally:
+            # Emitted after the replay (also when max_attempts aborts
+            # it) so the kernel's failure branch only appends a tuple.
+            problem = context.problem
+            for ti, res, at, lost, attempt in killed:
+                tel.log.debug(
+                    "sim.failure",
+                    task=problem.cw.keys[ti],
+                    resource=problem.cc.keys[res],
+                    at=at,
+                    lost=lost,
+                    attempt=attempt,
+                    policy=policy,
+                )
         span.tags.update(
             makespan=trace.makespan,
             failures=trace.n_failures,
@@ -194,118 +196,39 @@ def simulate_with_failures(
     return trace
 
 
-def _replay(
-    schedule: Schedule,
+def _run(
+    context: SimulationContext,
     mtbf: float,
     repair_time: float,
     policy: str,
-    rng: np.random.Generator,
     max_attempts: int,
-    tel,
+    rng: np.random.Generator,
+    killed: list[tuple[int, int, float, float, int]] | None = None,
 ) -> tuple[FailureTrace, int, int]:
-    """The replay loop; returns (trace, failures fired, attempts started)."""
-    workflow = schedule.workflow
-    continuum: Continuum = schedule.continuum
-    clock = _FailureClock(continuum.keys, mtbf, rng)
-
-    resource_free: dict[str, float] = {key: 0.0 for key in continuum.keys}
-    finished: dict[str, TaskPlacement] = {}
-    n_failures = 0
-    n_migrations = 0
-    lost_work = 0.0
-    attempts_started = 0
-
-    def data_ready(task_key: str, on_resource: str) -> float:
-        ready = 0.0
-        for pred in workflow.predecessors(task_key):
-            placement = finished[pred]
-            arrival = placement.finish + continuum.transfer_time(
-                workflow[pred].output_size, placement.resource, on_resource
-            )
-            ready = max(ready, arrival)
-        return ready
-
-    # Replay in the plan's global start order restricted to a valid
-    # topological order (the plan's start order IS topological: a schedule
-    # validates that successors start after predecessors finish).
-    order = [p.task for p in schedule.placements]
-
-    for task_key in order:
-        task = workflow[task_key]
-        resource_key = schedule[task_key].resource
-        attempts = 0
-        while True:
-            if attempts >= max_attempts:
-                raise ContinuumError(
-                    f"task {task_key!r} failed {attempts} times; "
-                    f"mtbf={mtbf} is too small for its duration"
-                )
-            attempts_started += 1
-            resource = continuum[resource_key]
-            duration = resource.execution_time(task.work)
-            start = max(
-                resource_free[resource_key],
-                data_ready(task_key, resource_key),
-            )
-            clock.advance_past(resource_key, start)
-            failure = clock.next_failure(resource_key)
-            if failure >= start + duration:
-                finish = start + duration
-                resource_free[resource_key] = finish
-                finished[task_key] = TaskPlacement(
-                    task_key, resource_key, start, finish
-                )
-                break
-            # The attempt dies at the failure instant.
-            attempts += 1
-            n_failures += 1
-            lost_work += failure - start
-            clock.consume(resource_key)
-            resource_free[resource_key] = failure + repair_time
-            if tel.enabled:
-                tel.log.debug(
-                    "sim.failure",
-                    task=task_key,
-                    resource=resource_key,
-                    at=failure,
-                    lost=failure - start,
-                    attempt=attempts,
-                    policy=policy,
-                )
-            if policy == "migrate":
-                # Earliest-finish feasible resource for the retry.
-                candidates = []
-                for other in continuum:
-                    if not other.supports(task.requirements):
-                        continue
-                    retry_start = max(
-                        resource_free[other.key],
-                        data_ready(task_key, other.key),
-                    )
-                    retry_finish = retry_start + other.execution_time(task.work)
-                    candidates.append((retry_finish, other.key))
-                if not candidates:  # pragma: no cover - plan was feasible
-                    raise ContinuumError(
-                        f"no feasible resource left for {task_key!r}"
-                    )
-                _, best_key = min(candidates)
-                if best_key != resource_key:
-                    resource_key = best_key
-
-    makespan = max(p.finish for p in finished.values())
-    n_migrations = sum(
-        1
-        for task_key, placement in finished.items()
-        if placement.resource != schedule[task_key].resource
+    """One kernel replication as (trace, failures fired, attempts started)."""
+    result, start, finish, resource, idle_reboots = _replicate(
+        context, mtbf, repair_time, policy == "migrate", 0.0, max_attempts,
+        rng, killed,
+    )
+    problem = context.problem
+    task_keys, res_keys = problem.cw.keys, problem.cc.keys
+    placements = sorted(
+        (
+            TaskPlacement(task_keys[t], res_keys[resource[t]], start[t], finish[t])
+            for t in range(context.n_tasks)
+        ),
+        key=lambda p: (p.start, p.task),
     )
     trace = FailureTrace(
-        placements=tuple(
-            sorted(finished.values(), key=lambda p: (p.start, p.task))
-        ),
-        makespan=float(makespan),
-        planned_makespan=schedule.makespan,
-        n_failures=n_failures,
-        n_migrations=n_migrations,
-        lost_work=float(lost_work),
+        placements=tuple(placements),
+        makespan=result.makespan,
+        planned_makespan=context.planned_makespan,
+        n_failures=result.retries,
+        n_migrations=result.migrations,
+        lost_work=result.lost_work,
     )
-    return trace, clock.consumed, attempts_started
+    return (
+        trace,
+        result.retries + idle_reboots,
+        context.n_tasks + result.retries,
+    )

@@ -5,19 +5,22 @@ The one-shot simulators (:func:`repro.continuum.simulate.simulate_schedule`,
 one noisy execution of this plan look like?".  The questions the paper's Q3
 analysis raises — how do schedulers compare *in distribution* across
 failure rates, jitter levels, and a fleet of workflows — need thousands of
-replications per grid cell.  Paying the simulators' per-call setup (object
-construction, string-keyed lookups, validation) thousands of times makes
-that sweep orders of magnitude slower than the arithmetic it performs.
+replications per grid cell, so per-call setup (object construction,
+string-keyed lookups, validation) must be paid once, not per replication.
 
 This module is the batched engine, in three layers:
 
-1. **Per-replication speedup** — :class:`SimulationContext` hoists every
-   schedule invariant out of the replication loop: integer-indexed
-   adjacency, per-task durations on every resource, a precomputed
-   ``task × src × dst`` transfer-cost table, the plan's start order, and
-   the feasibility sets the migrate policy scans.  One replication then
-   runs on flat lists of floats and ints.  The replay is *bit-identical*
-   to the one-shot simulators (see the determinism contract below).
+1. **The replay kernel** — :class:`SimulationContext` hoists every
+   schedule invariant out of the replication loop: the plan's start
+   order and planned resources, plus the pairing-level tables the
+   schedule's :attr:`~repro.continuum.scheduling.Schedule.problem`
+   caches (per-task durations on every resource, the ``task × src ×
+   dst`` transfer-cost table, predecessor and feasibility lists).  One
+   replication (:func:`_replicate`) then runs on flat lists of floats
+   and ints.  It is the only failure replay in the library:
+   :func:`~repro.continuum.failures.simulate_with_failures` is a thin
+   wrapper that runs one replication and lifts the kernel's start and
+   finish times into a trace.
 2. **Adaptive rounds on a process pool** — :func:`run_sweep` runs the
    grid as the Monte-Carlo task kind of the shared round engine,
    :mod:`repro.stats.adaptive`, which owns the content-addressed
@@ -54,11 +57,14 @@ the first ``R`` replications of a larger run reproduce a smaller run
 exactly.  The round size (``chunk_size``) is therefore part of an
 adaptive cell's identity, while for fixed-replication sweeps chunking
 can never change results.  Against the one-shot simulators, one
-replication with generator ``g`` reproduces
-``simulate_with_failures(schedule, ..., rng=g)`` bit-for-bit when
-``jitter == 0``, and ``simulate_schedule(schedule, jitter=j, rng=g)``
-when ``mtbf is None`` (batch draws of NumPy ``Generator`` consume the
-stream exactly like the equivalent scalar sequence).
+replication with generator ``g`` *is*
+``simulate_with_failures(schedule, ..., rng=g)`` when ``jitter == 0``
+(the same kernel call), and reproduces the makespan of
+``simulate_schedule(schedule, jitter=j, rng=g)`` bit-for-bit when
+``mtbf is None`` (batch draws of NumPy ``Generator`` consume the stream
+exactly like the equivalent scalar sequence).  The failure replay is
+pinned bit-for-bit, counters and failure events included, against the
+original object-keyed replay kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -158,22 +164,24 @@ class SimulationContext:
     plan's start order, per-task durations on every resource (IEEE-equal
     to ``Resource.execution_time``), the plan's own placement durations
     (for the jitter-only path, where ``simulate_schedule`` multiplies the
-    *placement* duration), predecessor adjacency, the full
+    *placement* duration), predecessor adjacency, the
     ``task × src × dst`` transfer-cost table (IEEE-equal to
-    ``Continuum.transfer_time``), feasibility sets, and the
+    ``Continuum.transfer_time``; the kernel builds a task's row for the
+    resource it finished on), feasibility sets, and the
     key-sorted resource ranks that break migrate-policy ties exactly like
-    the string comparison in :func:`simulate_with_failures`.
+    the string comparison of the original object-keyed replay.
 
     The pairing-level invariants (duration matrix, transfer table,
-    adjacency, feasibility) now live on
-    :class:`~repro.continuum.compile.CompiledProblem`; pass ``problem=``
-    to share one compilation across every schedule/context of the same
-    workflow × continuum pairing — only the schedule-specific pieces
-    (plan order, planned resources/durations) are rebuilt per context.
+    adjacency, feasibility) are the cached list views of the schedule's
+    own :attr:`~repro.continuum.scheduling.Schedule.problem`, so every
+    context of schedules placed on one pairing shares them; only the
+    schedule-specific pieces (plan order, planned resources/durations)
+    are rebuilt per context.
     """
 
     __slots__ = (
         "schedule",
+        "problem",
         "n_tasks",
         "n_resources",
         "order",
@@ -187,16 +195,14 @@ class SimulationContext:
         "planned_makespan",
     )
 
-    def __init__(
-        self, schedule: Schedule, problem: CompiledProblem | None = None
-    ) -> None:
-        if problem is None:
-            problem = compile_problem(schedule.workflow, schedule.continuum)
+    def __init__(self, schedule: Schedule) -> None:
+        problem = schedule.problem
         cw, cc = problem.cw, problem.cc
         tindex = cw.index
         rindex = cc.index
 
         self.schedule = schedule
+        self.problem = problem
         self.n_tasks = cw.n_tasks
         self.n_resources = cc.n_resources
         #: Plan start order as task indices (a valid topological order —
@@ -218,8 +224,8 @@ class SimulationContext:
         self.transfer = problem.transfer_lists()
         self.preds = problem.pred_id_lists()
         self.feasible = problem.feasible_id_lists()
-        # simulate_with_failures breaks earliest-finish ties on the
-        # resource *key string*; ranks reproduce that order on ints.
+        # Migration breaks earliest-finish ties on the resource *key
+        # string*; ranks reproduce that order on ints.
         self.res_rank = cc.res_rank.tolist()
         self.planned_makespan = schedule.makespan
 
@@ -238,11 +244,12 @@ def replicate_once(
 
     With ``mtbf=None`` this is the jitter-only replay (bit-identical
     makespan to :func:`~repro.continuum.simulate.simulate_schedule`);
-    with a finite ``mtbf`` it is the failure replay (bit-identical to
-    :func:`~repro.continuum.failures.simulate_with_failures` when
-    ``jitter == 0``).  Draw order: the per-task jitter factors first
-    (task insertion order), then the per-resource initial failure times
-    (continuum key order), then one exponential per consumed failure.
+    with a finite ``mtbf`` it is the failure replay that
+    :func:`~repro.continuum.failures.simulate_with_failures` also runs
+    (the same figures when ``jitter == 0``).  Draw order: the per-task
+    jitter factors first (task insertion order), then the per-resource
+    initial failure times (continuum key order), then one exponential
+    per consumed failure, idle reboots included.
     """
     _validate_cell_params(
         mtbf=mtbf, repair_time=repair_time, policy=policy, jitter=jitter,
@@ -251,7 +258,7 @@ def replicate_once(
     return _replicate(
         context, mtbf, repair_time, policy == "migrate", jitter,
         max_attempts, rng,
-    )
+    )[0]
 
 
 def _validate_cell_params(
@@ -282,8 +289,17 @@ def _replicate(
     jitter: float,
     max_attempts: int,
     rng: np.random.Generator,
-) -> ReplicationResult:
-    """The replication hot loop: flat lists, integer indices, local names."""
+    killed: list[tuple[int, int, float, float, int]] | None = None,
+) -> tuple[ReplicationResult, list[float], list[float], list[int], int]:
+    """The replication hot loop: flat lists, integer indices, local names.
+
+    Returns ``(result, start, finish, resource, idle_reboots)``: the
+    figures of merit, then per task id the start time, finish time and
+    resource id of its successful attempt, and the number of failures
+    that fired on an idle resource.  When *killed* is a list, every
+    killed attempt is appended to it as ``(task id, resource id, failure
+    time, lost seconds, attempt number)``.
+    """
     n_tasks = ctx.n_tasks
     order = ctx.order
     planned_res = ctx.planned_res
@@ -293,6 +309,7 @@ def _replicate(
     transfer = ctx.transfer
     feasible = ctx.feasible
     res_rank = ctx.res_rank
+    task_transfer_row = ctx.problem.task_transfer_row
     exponential = rng.exponential
 
     factors = (
@@ -305,9 +322,11 @@ def _replicate(
         exponential(mtbf, size=ctx.n_resources).tolist() if clocked else None
     )
     resource_free = [0.0] * ctx.n_resources
+    start_time = [0.0] * n_tasks
     fin_time = [0.0] * n_tasks
     fin_res = list(planned_res)
     n_failures = 0
+    idle_reboots = 0
     lost_work = 0.0
 
     for ti in order:
@@ -321,7 +340,7 @@ def _replicate(
         while True:
             if attempts >= max_attempts:
                 raise ContinuumError(
-                    f"task #{ti} failed {attempts} times; "
+                    f"task {ctx.problem.cw.keys[ti]!r} failed {attempts} times; "
                     f"mtbf={mtbf} is too small for its duration"
                 )
             duration = plan_dur[ti] if not clocked else durations[res]
@@ -338,18 +357,21 @@ def _replicate(
             if not clocked:
                 finish = start + duration
                 resource_free[res] = finish
+                start_time[ti] = start
                 fin_time[ti] = finish
                 fin_res[ti] = res
                 break
-            # Idle failures are harmless reboots: skip any that elapsed
-            # before the attempt starts (_FailureClock.advance_past).
+            # Idle failures are harmless reboots: skip (and count) any
+            # that elapsed before the attempt starts.
             failure = next_failure[res]
             while failure < start:
                 failure += float(exponential(mtbf))
+                idle_reboots += 1
             if failure >= start + duration:
                 next_failure[res] = failure
                 finish = start + duration
                 resource_free[res] = finish
+                start_time[ti] = start
                 fin_time[ti] = finish
                 fin_res[ti] = res
                 break
@@ -359,6 +381,8 @@ def _replicate(
             lost_work += failure - start
             next_failure[res] = failure + float(exponential(mtbf))
             resource_free[res] = failure + repair_time
+            if killed is not None:
+                killed.append((ti, res, failure, failure - start, attempts))
             if migrate:
                 best: tuple[float, int] | None = None
                 best_res = res
@@ -376,19 +400,23 @@ def _replicate(
                         best = candidate
                         best_res = r
                 res = best_res
+        # Successors read this task's transfer row from where it ran.
+        if transfer[ti][res] is None:
+            transfer[ti][res] = task_transfer_row(ti, res)
 
     makespan = max(fin_time)
     migrations = 0
     for ti in range(n_tasks):
         if fin_res[ti] != planned_res[ti]:
             migrations += 1
-    return ReplicationResult(
+    result = ReplicationResult(
         makespan=makespan,
         slowdown=makespan / ctx.planned_makespan,
         retries=n_failures,
         migrations=migrations,
         lost_work=lost_work,
     )
+    return result, start_time, fin_time, fin_res, idle_reboots
 
 
 # -- streaming aggregation ----------------------------------------------------
@@ -986,19 +1014,13 @@ class _CellTask:
 _WORKER_SCHEDULES: list[Schedule] = []
 _WORKER_TASKS: list[_CellTask] = []
 _WORKER_CONTEXTS: dict[int, SimulationContext] = {}
-# One CompiledProblem per workflow × continuum pairing.  The pool ships
-# all schedules as one payload, so schedules of the same workflow
-# unpickle sharing one Workflow/Continuum object and identity keys are
-# stable within a worker.
-_WORKER_PROBLEMS: dict[tuple[int, int], CompiledProblem] = {}
 
 
 def _worker_init(schedules: list[Schedule], tasks: list[_CellTask]) -> None:
-    global _WORKER_SCHEDULES, _WORKER_TASKS, _WORKER_CONTEXTS, _WORKER_PROBLEMS
+    global _WORKER_SCHEDULES, _WORKER_TASKS, _WORKER_CONTEXTS
     _WORKER_SCHEDULES = schedules
     _WORKER_TASKS = tasks
     _WORKER_CONTEXTS = {}
-    _WORKER_PROBLEMS = {}
 
 
 def _worker_chunk(
@@ -1013,20 +1035,14 @@ def _worker_chunk(
     task = _WORKER_TASKS[task_index]
     context = _WORKER_CONTEXTS.get(task.schedule_index)
     if context is None:
-        schedule = _WORKER_SCHEDULES[task.schedule_index]
-        pairing = (id(schedule.workflow), id(schedule.continuum))
-        problem = _WORKER_PROBLEMS.get(pairing)
-        if problem is None:
-            problem = compile_problem(schedule.workflow, schedule.continuum)
-            _WORKER_PROBLEMS[pairing] = problem
-        context = SimulationContext(schedule, problem)
+        context = SimulationContext(_WORKER_SCHEDULES[task.schedule_index])
         _WORKER_CONTEXTS[task.schedule_index] = context
     migrate = task.policy == "migrate"
     return [
         _replicate(
             context, task.mtbf, task.repair_time, migrate, task.jitter,
             task.max_attempts, stream_rng(task.entropy, rep),
-        ).as_tuple()
+        )[0].as_tuple()
         for rep in range(start, start + count)
     ]
 
@@ -1093,7 +1109,9 @@ class _CellKind:
     ) -> tuple[Runner, list[CellAggregate]]:
         # Schedule once per (workflow, scheduler) pair actually needed;
         # compile each workflow × continuum pairing exactly once and
-        # share it across every scheduler placing on it.
+        # share it across every scheduler placing on it.  Each schedule
+        # owns that problem, and the pool ships all schedules as one
+        # payload, so workers unpickle one shared problem per pairing.
         spec = self.spec
         workflow_of = {w.name: w for w in spec.workflows}
         schedules: list[Schedule] = []

@@ -34,6 +34,8 @@ default is the shared zero-overhead null telemetry.  An optional
 :class:`~repro.continuum.compile.CompiledProblem` so callers placing the
 same workflow × continuum pairing repeatedly (sweeps, benchmarks) pay the
 compilation exactly once.
+A :class:`Schedule` keeps that problem (:attr:`Schedule.problem`), and
+validation and every simulator of the plan read it from there.
 """
 
 from __future__ import annotations
@@ -65,12 +67,6 @@ __all__ = [
     "EnergyAwareScheduler",
     "RoundRobinScheduler",
 ]
-
-#: Historical name: the timeline lives in the compile module now (both the
-#: compiled kernels and the reference schedulers share it), with a public
-#: ``last_finish``/``tail()`` API replacing the old ``_intervals``
-#: reach-through.
-_ResourceTimeline = ResourceTimeline
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,6 +107,7 @@ class Schedule:
         # repeatedly on the same schedule.
         self._sorted_placements: tuple[TaskPlacement, ...] | None = None
         self._makespan: float | None = None
+        self._problem: CompiledProblem | None = None
 
     def __getitem__(self, task: str) -> TaskPlacement:
         try:
@@ -126,6 +123,19 @@ class Schedule:
                 sorted(self._placements.values(), key=lambda p: (p.start, p.task))
             )
         return self._sorted_placements
+
+    @property
+    def problem(self) -> CompiledProblem:
+        """The compiled workflow × continuum pairing this plan runs on.
+
+        A scheduler hands over the problem it placed on; a hand-built
+        schedule compiles it on first use and caches it.  Pickling keeps
+        it, so schedules placed on one problem still share it after a
+        round trip through one payload.
+        """
+        if self._problem is None:
+            self._problem = compile_problem(self.workflow, self.continuum)
+        return self._problem
 
     @property
     def makespan(self) -> float:
@@ -171,7 +181,7 @@ class Schedule:
             )
         return total
 
-    def validate(self, *, problem: CompiledProblem | None = None) -> None:
+    def validate(self) -> None:
         """Check dependency and exclusivity invariants.
 
         * every task starts at or after every predecessor's finish (plus
@@ -184,14 +194,11 @@ class Schedule:
         gather over all edges, consecutive-slot comparison per resource);
         when a violation is detected the original loop implementation
         (:meth:`validate_reference`) re-runs to raise the identical
-        first-violation error.  ``problem`` optionally supplies a
-        precompiled :class:`~repro.continuum.compile.CompiledProblem` to
-        skip rebuilding the id maps and adjacency.
+        first-violation error.  The id maps and adjacency come from
+        :attr:`problem`.
         """
         eps = 1e-9
-        if problem is None:
-            problem = compile_problem(self.workflow, self.continuum)
-        cw, cc = problem.cw, problem.cc
+        cw, cc = self.problem.cw, self.problem.cc
 
         n = cw.n_tasks
         start = np.empty(n, dtype=np.float64)
@@ -339,7 +346,8 @@ def _build_schedule(
         for i, key in enumerate(cw.keys)
     }
     schedule = Schedule(problem.workflow, problem.continuum, placements)
-    schedule.validate(problem=problem)
+    schedule._problem = problem
+    schedule.validate()
     return schedule
 
 
@@ -410,7 +418,7 @@ class HeftScheduler:
         ranks = self.upward_ranks_reference(workflow, continuum)
         order = sorted(workflow.task_keys, key=lambda k: (-ranks[k], k))
 
-        timelines = {key: _ResourceTimeline() for key in continuum.keys}
+        timelines = {key: ResourceTimeline() for key in continuum.keys}
         placements: dict[str, TaskPlacement] = {}
         for task_key in order:
             task = workflow[task_key]
@@ -479,7 +487,7 @@ class EnergyAwareScheduler:
         ranks = HeftScheduler().upward_ranks_reference(workflow, continuum)
         order = sorted(workflow.task_keys, key=lambda k: (-ranks[k], k))
 
-        timelines = {key: _ResourceTimeline() for key in continuum.keys}
+        timelines = {key: ResourceTimeline() for key in continuum.keys}
         placements: dict[str, TaskPlacement] = {}
         for task_key in order:
             task = workflow[task_key]
@@ -545,7 +553,7 @@ class RoundRobinScheduler:
         """The original pure-Python rotation (parity reference)."""
         feasible = _feasible_resources(workflow, continuum)
         keys = continuum.keys
-        timelines = {key: _ResourceTimeline() for key in keys}
+        timelines = {key: ResourceTimeline() for key in keys}
         placements: dict[str, TaskPlacement] = {}
         cursor = 0
         for task_key in workflow.topological_order():

@@ -14,9 +14,11 @@ per-edge transfer times are one vectorized gather from the latency /
 bandwidth tables (IEEE-identical to ``Continuum.transfer_time``), and the
 per-task jitter factors are a single batched ``rng.lognormal`` draw —
 bit-identical to the former per-task scalar draws, since NumPy's
-Generator consumes the stream identically either way.  The original
-object-keyed loop is preserved as :func:`_simulate_reference` for the
-parity suite.
+Generator consumes the stream identically either way.  The compiled
+problem is the one the schedule owns (:attr:`Schedule.problem`), so
+repeated executions of a plan compile its pairing at most once.  The
+original object-keyed loop lives on as the parity oracle in the test
+suite (``tests/replay_oracle.py``).
 
 Passing ``telemetry=`` wraps the run in a ``simulate`` span, counts
 ``sim.events`` / ``sim.tasks``, and emits a ``sim.finish`` log event —
@@ -33,10 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.continuum.compile import CompiledProblem, compile_problem
-from repro.continuum.resources import Continuum
 from repro.continuum.scheduling import Schedule, TaskPlacement
-from repro.continuum.workflow import Workflow
 from repro.errors import ContinuumError
 from repro.telemetry import ensure
 
@@ -79,7 +78,6 @@ def simulate_schedule(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
     telemetry=None,
-    problem: CompiledProblem | None = None,
 ) -> ExecutionTrace:
     """Execute *schedule* event-by-event with multiplicative duration jitter.
 
@@ -98,10 +96,6 @@ def simulate_schedule(
         Optional :class:`repro.telemetry.Telemetry`; when bound the run is
         traced (``simulate`` span), counted (``sim.events``, ``sim.tasks``)
         and logged (``sim.finish``).
-    problem:
-        Optional precompiled :class:`~repro.continuum.compile.CompiledProblem`
-        for the schedule's workflow × continuum pairing, so repeated
-        executions of plans on the same pairing skip recompilation.
 
     Returns
     -------
@@ -116,11 +110,11 @@ def simulate_schedule(
         rng = np.random.default_rng(seed)
     tel = ensure(telemetry)
     if not tel.enabled:
-        return _simulate_counted(schedule, jitter, rng, problem)[0]
+        return _simulate_counted(schedule, jitter, rng)[0]
     with tel.tracer.span(
         "simulate", tasks=len(schedule.workflow), jitter=jitter
     ) as span:
-        trace, n_events = _simulate_counted(schedule, jitter, rng, problem)
+        trace, n_events = _simulate_counted(schedule, jitter, rng)
         span.tags.update(makespan=trace.makespan, events=n_events)
         tel.metrics.counter("sim.events").inc(n_events)
         tel.metrics.counter("sim.tasks").inc(len(trace.placements))
@@ -138,11 +132,9 @@ def _simulate_counted(
     schedule: Schedule,
     jitter: float,
     rng: np.random.Generator,
-    problem: CompiledProblem | None = None,
 ) -> tuple[ExecutionTrace, int]:
-    """Integer-id event loop; bit-identical to :func:`_simulate_reference`."""
-    if problem is None:
-        problem = compile_problem(schedule.workflow, schedule.continuum)
+    """Integer-id event loop; returns (trace, completion events)."""
+    problem = schedule.problem
     cw, cc = problem.cw, problem.cc
     n = cw.n_tasks
     n_res = cc.n_resources
@@ -272,95 +264,3 @@ def _simulate_counted(
     )
     return trace, n_events
 
-
-def _simulate_reference(
-    schedule: Schedule, jitter: float, rng: np.random.Generator
-) -> tuple[ExecutionTrace, int]:
-    """The original object-keyed event loop (parity reference)."""
-    workflow: Workflow = schedule.workflow
-    continuum: Continuum = schedule.continuum
-
-    # Per-resource task order: exactly as planned.
-    queue_of: dict[str, list[str]] = {key: [] for key in continuum.keys}
-    for placement in schedule.placements:  # sorted by planned start
-        queue_of[placement.resource].append(placement.task)
-
-    durations: dict[str, float] = {}
-    for task in workflow:
-        nominal = schedule[task.key].duration
-        factor = float(rng.lognormal(mean=0.0, sigma=jitter)) if jitter else 1.0
-        durations[task.key] = nominal * factor
-
-    remaining_inputs = {
-        key: len(workflow.predecessors(key)) for key in workflow.task_keys
-    }
-    data_ready: dict[str, float] = {key: 0.0 for key in workflow.task_keys}
-    resource_free: dict[str, float] = {key: 0.0 for key in continuum.keys}
-    next_in_queue: dict[str, int] = {key: 0 for key in continuum.keys}
-
-    finished: dict[str, TaskPlacement] = {}
-    # Event heap: (time, sequence, task) for completions.  `sequence` breaks
-    # ties deterministically.
-    heap: list[tuple[float, int, str]] = []
-    sequence = 0
-
-    def try_start(resource_key: str, now: float) -> None:
-        """Start the next planned task on *resource_key* if it is ready."""
-        nonlocal sequence
-        queue = queue_of[resource_key]
-        idx = next_in_queue[resource_key]
-        if idx >= len(queue):
-            return
-        task_key = queue[idx]
-        if remaining_inputs[task_key] > 0:
-            return
-        start = max(now, resource_free[resource_key], data_ready[task_key])
-        finish = start + durations[task_key]
-        next_in_queue[resource_key] += 1
-        resource_free[resource_key] = finish
-        finished[task_key] = TaskPlacement(task_key, resource_key, start, finish)
-        sequence += 1
-        heapq.heappush(heap, (finish, sequence, task_key))
-
-    for resource_key in continuum.keys:
-        try_start(resource_key, 0.0)
-
-    n_events = 0
-    while heap:
-        n_events += 1
-        now, _, task_key = heapq.heappop(heap)
-        placement = finished[task_key]
-        for succ in workflow.successors(task_key):
-            transfer = continuum.transfer_time(
-                workflow[task_key].output_size,
-                placement.resource,
-                schedule[succ].resource,
-            )
-            data_ready[succ] = max(data_ready[succ], now + transfer)
-            remaining_inputs[succ] -= 1
-        # The finished resource may start its next task; successors' hosts
-        # may have been waiting on the data that just arrived.
-        try_start(placement.resource, now)
-        for succ in workflow.successors(task_key):
-            try_start(schedule[succ].resource, now)
-
-    if len(finished) != len(workflow):
-        unrun = sorted(set(workflow.task_keys) - set(finished))
-        raise ContinuumError(
-            f"simulation deadlocked; tasks never ran: {unrun[:5]}"
-        )
-
-    makespan = max(p.finish for p in finished.values())
-    busy_energy = sum(
-        continuum[p.resource].busy_power * p.duration
-        for p in finished.values()
-    )
-    trace = ExecutionTrace(
-        placements=tuple(
-            sorted(finished.values(), key=lambda p: (p.start, p.task))
-        ),
-        makespan=float(makespan),
-        planned_makespan=schedule.makespan,
-        busy_energy=float(busy_energy),
-    )
-    return trace, n_events

@@ -8,6 +8,10 @@ surfaced as HTTP 429 backpressure) and a small fixed pool of worker
 threads drains it.  Job state is observable at every step
 (``queued → running → done | failed | cancelled``) and
 :meth:`JobQueue.close` can drain in-flight jobs for a graceful shutdown.
+The job table is bounded too: it keeps at most
+:data:`MAX_FINISHED_JOBS` finished jobs (each holding its full sweep
+result) and forgets the oldest-finished first, so a long-running server
+does not grow without limit.  Queued and running jobs are always kept.
 
 The queue is deliberately engine-agnostic: it runs any
 ``fn(job) -> payload`` callable, so tests exercise it without spinning
@@ -19,6 +23,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from queue import Empty, Full, Queue
 from typing import Any, Callable
@@ -26,10 +31,15 @@ from typing import Any, Callable
 from repro.errors import JobQueueFullError, ServeError, UnknownJobError
 from repro.pipeline.cache import stable_digest
 
-__all__ = ["Job", "JobQueue", "JOB_STATES"]
+__all__ = ["Job", "JobQueue", "JOB_STATES", "MAX_FINISHED_JOBS"]
 
 #: Every observable job state, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Finished (done, failed or cancelled) jobs a queue remembers; beyond
+#: this the oldest-finished job is forgotten and its id answers
+#: :class:`~repro.errors.UnknownJobError` (HTTP 404).
+MAX_FINISHED_JOBS = 256
 
 
 @dataclass
@@ -111,6 +121,8 @@ class JobQueue:
         self._log = logger
         self._queue: Queue[Job | None] = Queue(maxsize=maxsize)
         self._jobs: dict[str, Job] = {}
+        # Ids of finished jobs still in _jobs, oldest-finished first.
+        self._finished: deque[str] = deque()
         self._lock = threading.Lock()
         self._seq = itertools.count(1)
         self._closed = False
@@ -177,9 +189,17 @@ class JobQueue:
         job = self.get(job_id)
         with self._lock:
             if job.state == "queued":
-                job.state = "cancelled"
-                job.finished_s = time.time()
+                self._finish(job, "cancelled")
         return job
+
+    def _finish(self, job: Job, state: str) -> None:
+        """Move *job* to a final *state* and forget the oldest finished
+        jobs beyond :data:`MAX_FINISHED_JOBS`; the caller holds the lock."""
+        job.state = state
+        job.finished_s = time.time()
+        self._finished.append(job.job_id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            del self._jobs[self._finished.popleft()]
 
     # -- worker loop ----------------------------------------------------------------
 
@@ -200,18 +220,16 @@ class JobQueue:
                     result = self._fn(job)
                 except Exception as exc:  # job failure is data, not a crash
                     with self._lock:
-                        job.state = "failed"
                         job.error = repr(exc)
-                        job.finished_s = time.time()
+                        self._finish(job, "failed")
                     if self._log is not None:
                         self._log.error(
                             "job.finish", job=job.job_id, error=job.error
                         )
                 else:
                     with self._lock:
-                        job.state = "done"
                         job.result = result
-                        job.finished_s = time.time()
+                        self._finish(job, "done")
                     if self._log is not None:
                         self._log.info(
                             "job.finish", job=job.job_id, state="done"
@@ -233,10 +251,9 @@ class JobQueue:
                 return
             self._closed = True
             if not drain:
-                for job in self._jobs.values():
+                for job in list(self._jobs.values()):
                     if job.state == "queued":
-                        job.state = "cancelled"
-                        job.finished_s = time.time()
+                        self._finish(job, "cancelled")
         for _ in self._threads:
             while True:  # a full queue still has to take the sentinel
                 try:

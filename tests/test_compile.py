@@ -25,9 +25,10 @@ from repro.continuum.scheduling import (
     Schedule,
     TaskPlacement,
 )
-from repro.continuum.simulate import _simulate_reference, simulate_schedule
+from repro.continuum.simulate import simulate_schedule
 from repro.continuum.workflow import Task, Workflow, layered_workflow, random_workflow
 from repro.errors import SchedulingError
+from tests.replay_oracle import _simulate_reference
 
 
 def _with_requirements(workflow, name):
@@ -223,9 +224,15 @@ class TestSimulatorParity:
         cont = default_continuum(seed=12)
         problem = compile_problem(wf, cont)
         schedule = HeftScheduler().schedule(wf, cont, problem=problem)
+        assert schedule.problem is problem
+        # A hand-built copy of the plan compiles its own problem lazily
+        # and executes identically.
+        copy = Schedule(wf, cont, {k: schedule[k] for k in wf.task_keys})
         a = simulate_schedule(schedule, jitter=0.4, seed=1)
-        b = simulate_schedule(schedule, jitter=0.4, seed=1, problem=problem)
-        assert a.placements == b.placements
+        b = simulate_schedule(copy, jitter=0.4, seed=1)
+        assert copy.problem is not problem
+        assert copy.problem is copy.problem
+        assert a == b
 
 
 class TestMonteCarloSharing:
@@ -234,8 +241,13 @@ class TestMonteCarloSharing:
         cont = default_continuum(seed=13)
         problem = compile_problem(wf, cont)
         schedule = HeftScheduler().schedule(wf, cont, problem=problem)
-        solo = SimulationContext(schedule)
-        shared = SimulationContext(schedule, problem)
+        copy = Schedule(wf, cont, {k: schedule[k] for k in wf.task_keys})
+        shared = SimulationContext(schedule)
+        solo = SimulationContext(copy)
+        assert schedule.problem is problem
+        assert shared.dur is problem.dur_lists()
+        assert solo.dur is copy.problem.dur_lists()
+        assert solo.dur is not shared.dur
         for mtbf in (None, 40.0):
             a = replicate_once(
                 solo, mtbf=mtbf, jitter=0.3, rng=np.random.default_rng(5)
@@ -251,11 +263,28 @@ class TestMonteCarloSharing:
         problem = compile_problem(wf, cont)
         s1 = HeftScheduler().schedule(wf, cont, problem=problem)
         s2 = RoundRobinScheduler().schedule(wf, cont, problem=problem)
-        c1 = SimulationContext(s1, problem)
-        c2 = SimulationContext(s2, problem)
+        assert s1.problem is problem and s2.problem is problem
+        c1 = SimulationContext(s1)
+        c2 = SimulationContext(s2)
         assert c1.dur is c2.dur
         assert c1.transfer is c2.transfer
         assert c1.preds is c2.preds
+        assert c1.feasible is c2.feasible
+
+    def test_one_payload_unpickles_one_shared_problem(self):
+        import pickle
+
+        wf = random_workflow(15, seed=16)
+        cont = default_continuum(seed=16)
+        problem = compile_problem(wf, cont)
+        plans = [
+            HeftScheduler().schedule(wf, cont, problem=problem),
+            RoundRobinScheduler().schedule(wf, cont, problem=problem),
+        ]
+        s1, s2 = pickle.loads(pickle.dumps(plans))
+        assert s1.problem is s2.problem
+        assert s1.problem.workflow is s1.workflow
+        assert s1.problem.continuum is s1.continuum
 
 
 class TestCompiledProblem:
@@ -277,6 +306,35 @@ class TestCompiledProblem:
                 row = problem.transfer_row(size, i)
                 for j, dst in enumerate(cont.keys):
                     assert row[j] == cont.transfer_time(size, src, dst)
+
+    def test_transfer_lists_fill_rows_on_demand(self):
+        from repro.continuum.failures import simulate_with_failures
+
+        wf = random_workflow(40, seed=19, output_range=(0.0, 0.3))
+        cont = default_continuum(seed=19)
+        schedule = HeftScheduler().schedule(wf, cont)
+        table = schedule.problem.transfer_lists()
+        assert all(row is None for rows in table for row in rows)
+        trace = simulate_with_failures(
+            schedule, mtbf=3.0, repair_time=1.0, policy="migrate", seed=2
+        )
+        built = [
+            (t, s) for t, rows in enumerate(table)
+            for s, row in enumerate(rows) if row is not None
+        ]
+        # One row per task, for the resource it finished on.
+        index = schedule.problem.cw.index
+        assert sorted(built) == sorted(
+            (index[p.task], cont.keys.index(p.resource))
+            for p in trace.placements
+        )
+        out = [task.output_size for task in wf]
+        for t, s in built:
+            assert table[t][s] == [
+                cont.transfer_time(out[t], cont.keys[s], dst)
+                for dst in cont.keys
+            ]
+        assert trace.n_migrations > 0
 
     def test_feasibility_matches_supports(self):
         wf = _with_requirements(random_workflow(20, seed=17), "reqs2")

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.continuum.failures import _FailureClock, simulate_with_failures
+from repro.continuum.failures import simulate_with_failures
 from repro.continuum.resources import default_continuum
-from repro.continuum.scheduling import HeftScheduler
+from repro.continuum.scheduling import (
+    EnergyAwareScheduler,
+    HeftScheduler,
+    RoundRobinScheduler,
+)
 from repro.continuum.workflow import layered_workflow, random_workflow
 from repro.errors import ContinuumError
+from repro.telemetry import Telemetry
+from tests.replay_oracle import _FailureClock, _replay
 
 
 @pytest.fixture(scope="module")
@@ -262,8 +268,118 @@ class TestValidation:
 
     def test_pathological_mtbf_aborts(self, schedule):
         # MTBF far below task durations: restarts can never finish.
-        with pytest.raises(ContinuumError):
+        with pytest.raises(ContinuumError, match="failed 10 times"):
             simulate_with_failures(
                 schedule, mtbf=1e-6, repair_time=0.0,
                 policy="restart", seed=1, max_attempts=10,
             )
+
+    def test_missing_mtbf_is_a_continuum_error(self, schedule):
+        with pytest.raises(ContinuumError, match="simulate_schedule"):
+            simulate_with_failures(schedule, mtbf=None, repair_time=1.0)
+
+    def test_nan_mtbf_rejected(self, schedule):
+        with pytest.raises(ContinuumError, match="mtbf"):
+            simulate_with_failures(
+                schedule, mtbf=float("nan"), repair_time=1.0
+            )
+
+
+# -- parity with the object-keyed oracle -----------------------------------------
+
+_COUNTERS = (
+    "sim.failures_injected", "sim.retries", "sim.migrations", "sim.events",
+    "sim.tasks",
+)
+_SCHEDULERS = {
+    "heft": HeftScheduler,
+    "energy": EnergyAwareScheduler,
+    "round_robin": RoundRobinScheduler,
+}
+
+
+def _failure_events(tel):
+    return [e.fields for e in tel.log.events() if e.event == "sim.failure"]
+
+
+def _oracle(schedule, mtbf, policy, seed):
+    """The object replay with the counters its old wrapper recorded."""
+    tel = Telemetry()
+    try:
+        trace, injected, attempts = _replay(
+            schedule, mtbf, 1.0, policy, np.random.default_rng(seed), 50, tel
+        )
+    except ContinuumError as exc:
+        return exc, None, _failure_events(tel)
+    counters = dict(zip(_COUNTERS, (
+        injected, trace.n_failures, trace.n_migrations, attempts,
+        len(trace.placements),
+    )))
+    return trace, counters, _failure_events(tel)
+
+
+def _kernel(schedule, mtbf, policy, seed):
+    tel = Telemetry()
+    try:
+        trace = simulate_with_failures(
+            schedule, mtbf=mtbf, repair_time=1.0, policy=policy, seed=seed,
+            telemetry=tel,
+        )
+    except ContinuumError as exc:
+        return exc, None, _failure_events(tel)
+    counters = {
+        name: tel.metrics.counter(name).value for name in _COUNTERS
+    }
+    return trace, counters, _failure_events(tel)
+
+
+class TestOracleParity:
+    """``simulate_with_failures`` runs the Monte-Carlo kernel; it must be
+    bit-identical to the original object-keyed replay (placements, trace
+    fields, ``sim.*`` counters, ``sim.failure`` events), and raise where
+    the oracle raises."""
+
+    @pytest.mark.parametrize("scheduler", sorted(_SCHEDULERS))
+    @pytest.mark.parametrize("n_tasks", [30, 80, 120, 200])
+    def test_grid_bit_identical(self, n_tasks, scheduler):
+        workflow = random_workflow(n_tasks, seed=n_tasks)
+        continuum = default_continuum(seed=n_tasks)
+        schedule = _SCHEDULERS[scheduler]().schedule(workflow, continuum)
+        compared = failures = migrations = 0
+        for policy in ("restart", "migrate"):
+            for mtbf in (2.0, 5.0, 30.0, 200.0):
+                for seed in range(5):
+                    case = (policy, mtbf, seed)
+                    expected, counters, events = _oracle(
+                        schedule, mtbf, policy, seed
+                    )
+                    got, got_counters, got_events = _kernel(
+                        schedule, mtbf, policy, seed
+                    )
+                    assert got_events == events, case
+                    if isinstance(expected, ContinuumError):
+                        assert isinstance(got, ContinuumError), case
+                        assert str(got) == str(expected), case
+                        continue
+                    assert got.placements == expected.placements, case
+                    assert (
+                        got.makespan, got.planned_makespan, got.n_failures,
+                        got.n_migrations, got.lost_work,
+                    ) == (
+                        expected.makespan, expected.planned_makespan,
+                        expected.n_failures, expected.n_migrations,
+                        expected.lost_work,
+                    ), case
+                    assert got_counters == counters, case
+                    compared += 1
+                    failures += got.n_failures
+                    migrations += got.n_migrations
+        # The grid must actually exercise the failure and migrate paths.
+        assert compared > 0 and failures > 0 and migrations > 0
+
+    def test_repeated_calls_reuse_the_schedule_problem(self, schedule):
+        problem = schedule.problem
+        a = simulate_with_failures(schedule, mtbf=2.0, repair_time=0.5, seed=4)
+        b = simulate_with_failures(schedule, mtbf=2.0, repair_time=0.5, seed=4)
+        assert schedule.problem is problem
+        assert a == b

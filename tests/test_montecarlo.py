@@ -85,6 +85,28 @@ class TestReplicationEquivalence:
                 rng=np.random.default_rng(0),
             )
 
+    def test_max_attempts_error_names_the_task_key(self, schedule, context):
+        kwargs = dict(mtbf=1e-6, repair_time=0.0, max_attempts=5)
+        with pytest.raises(ContinuumError) as sweep_err:
+            replicate_once(context, rng=np.random.default_rng(0), **kwargs)
+        with pytest.raises(ContinuumError) as one_shot_err:
+            simulate_with_failures(schedule, seed=0, **kwargs)
+        first = schedule.placements[0].task
+        assert str(sweep_err.value).startswith(f"task {first!r} failed 5")
+        assert str(sweep_err.value) == str(one_shot_err.value)
+
+    def test_one_validator_for_both_paths(self, schedule, context):
+        rng = np.random.default_rng(0)
+        for bad in (dict(mtbf=0.0), dict(mtbf=1.0, repair_time=-1.0),
+                    dict(mtbf=1.0, policy="pray"),
+                    dict(mtbf=1.0, max_attempts=0)):
+            kwargs = {"repair_time": 0.0, **bad}
+            with pytest.raises(MonteCarloError) as sweep_err:
+                replicate_once(context, rng=rng, **kwargs)
+            with pytest.raises(MonteCarloError) as one_shot_err:
+                simulate_with_failures(schedule, seed=0, **kwargs)
+            assert str(sweep_err.value) == str(one_shot_err.value)
+
     def test_parameter_validation(self, context):
         rng = np.random.default_rng(0)
         with pytest.raises(MonteCarloError):

@@ -20,6 +20,7 @@ from repro.errors import (
 )
 from repro.obs import RunRegistry
 from repro.pipeline.cache import ArtifactCache, stable_digest
+from repro.serve import jobs as jobs_module
 from repro.serve import (
     Job,
     JobQueue,
@@ -248,6 +249,50 @@ class TestJobQueue:
         with pytest.raises(ServeError):
             JobQueue(lambda job: None, maxsize=0)
 
+    def test_finished_jobs_are_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 3)
+        queue = JobQueue(lambda job: job.payload["n"], workers=1)
+        try:
+            ids = []
+            for n in range(5):
+                job = queue.submit({"n": n})
+                assert wait_until(lambda: job.state == "done")
+                ids.append(job.job_id)
+            for evicted in ids[:2]:
+                with pytest.raises(UnknownJobError):
+                    queue.get(evicted)
+            assert [j.job_id for j in queue.jobs()] == ids[2:]
+            assert [queue.get(i).result for i in ids[2:]] == [2, 3, 4]
+        finally:
+            queue.close()
+
+    def test_bound_never_evicts_queued_or_running_jobs(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 1)
+        release = threading.Event()
+        queue = JobQueue(
+            lambda job: release.wait(10.0) if job.payload["block"] else 0,
+            workers=1, maxsize=4,
+        )
+        try:
+            done = queue.submit({"block": False})
+            assert wait_until(lambda: done.state == "done")
+            running = queue.submit({"block": True})
+            assert wait_until(lambda: running.state == "running")
+            queued = queue.submit({"block": False})
+            cancelled = queue.submit({"block": False})
+            queue.cancel(cancelled.job_id)
+            # The cancellation finished a job: the older finished one
+            # goes, the running and the queued ones stay.
+            with pytest.raises(UnknownJobError):
+                queue.get(done.job_id)
+            assert queue.get(running.job_id).state == "running"
+            assert queue.get(queued.job_id).state == "queued"
+            assert queue.get(cancelled.job_id).state == "cancelled"
+        finally:
+            release.set()
+            queue.close()
+        assert [j.job_id for j in queue.jobs()] == [queued.job_id]
+
 
 # -- router -----------------------------------------------------------------------
 
@@ -350,6 +395,29 @@ class TestDispatch:
         status, payload = dispatch(app, "GET", "/jobs/job-404-cafe")
         assert status == 404
         assert "unknown job" in payload["error"]
+
+    def test_evicted_job_404(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "MAX_FINISHED_JOBS", 2)
+        telemetry = Telemetry()
+        context = ServeContext(
+            cache=ArtifactCache(telemetry=telemetry),
+            telemetry=telemetry,
+            jobs=JobQueue(lambda job: {"n": job.payload["n"]}, workers=1),
+        )
+        app = ServeApp(context)
+        try:
+            submitted = []
+            for n in range(3):
+                job = context.jobs.submit({"n": n})
+                assert wait_until(lambda: job.state == "done")
+                submitted.append(job.job_id)
+            status, payload = dispatch(app, "GET", f"/jobs/{submitted[0]}")
+            assert status == 404
+            assert "unknown job" in payload["error"]
+            status, payload = dispatch(app, "GET", f"/jobs/{submitted[2]}")
+            assert (status, payload["result"]) == (200, {"n": 2})
+        finally:
+            context.jobs.close()
 
     def test_trailing_slash_normalized(self, app):
         status, _ = dispatch(app, "GET", "/health/")
